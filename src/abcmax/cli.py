@@ -2,7 +2,7 @@
 
 Graphs travel as graph6 lines on stdin/stdout so the tool composes with
 standard graph toolchains.  Exit codes: 0 all must-match cells pass, 1 a
-must-match cell failed, 2 usage error.
+must-match cell failed, 2 usage error, crash or interrupt.
 """
 
 from __future__ import annotations
@@ -140,17 +140,13 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"n up to {hi} needs --allow-long (default cap is {LONG_RUN_MIN_ORDER - 1})"
         )
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    ns = list(range(lo, hi + 1))
     campaign = args.campaign
-    if campaign == "edge-conn":
-        report = run_campaign("edge-conn", ns, [args.k] if args.k else None,
-                              epsilon=args.epsilon, jobs=jobs, allow_long=args.allow_long)
-    elif campaign == "vertex-conn":
-        report = run_campaign("vertex-conn", ns, [args.k] if args.k else None,
-                              epsilon=args.epsilon, jobs=jobs, allow_long=args.allow_long)
-    elif campaign == "chromatic":
-        report = run_campaign("chromatic", ns, [args.chi] if args.chi else None,
+    if campaign in ("edge-conn", "vertex-conn", "chromatic"):
+        value = args.chi if campaign == "chromatic" else args.k
+        report = run_campaign(campaign, range(lo, hi + 1), None if value is None else [value],
                               epsilon=args.epsilon, jobs=jobs, allow_long=args.allow_long)
     elif campaign == "monotonicity":
         report = verify_monotonicity(args.trials, min(hi, 64), args.seed)
@@ -261,6 +257,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except (Exception, KeyboardInterrupt) as exc:
+        # a crash or an interrupt must not pass for a failed cell (exit 1);
+        # repr keeps the message on one line
+        print(f"error: {exc!r}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ never changes a result field.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
@@ -267,16 +269,16 @@ def _scan_cells(
     allow_long: bool,
 ) -> tuple[list["ExtremalResult"], int]:
     if jobs > 1 and n > SEED_DEPTH:
-        seeds = subtree_seeds(n, SEED_DEPTH)
         ctuples = tuple((c.kind, c.value) for c in constraints)
-        tasks = [(rows, n, ctuples, eps) for rows in seeds]
+        tasks = [(rows, n, ctuples, eps) for rows in subtree_seeds(n, SEED_DEPTH)]
+        accums = [_Accum() for _ in constraints]
+        streamed = 0
         with get_context("fork").Pool(processes=jobs) as pool:
-            partials = pool.map(_scan_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
-        streamed = sum(p[1] for p in partials)
-        accums = [
-            _merge_accums([p[0][i] for p in partials], eps)
-            for i in range(len(constraints))
-        ]
+            # fold each subtree's partials in as it arrives rather than holding them all
+            chunksize = max(1, len(tasks) // (jobs * 8))
+            for parts, count in pool.imap(_scan_worker, tasks, chunksize=chunksize):
+                streamed += count
+                accums = [_merge_accums([a.as_tuple(), p], eps) for a, p in zip(accums, parts)]
     else:
         source = connected_graph_list(n) if n <= 8 else connected_graphs(n, allow_long)
         accums, streamed = _scan_kernel(source, constraints, eps)
@@ -378,25 +380,17 @@ class Report:
     ]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.CSV_COLUMNS)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.CSV_COLUMNS)
         for cell in self.cells:
-            row = []
-            for col in self.CSV_COLUMNS:
-                if col == "maximizers":
-                    val = ";".join(cell.get("maximizers", []) or [])
-                elif col == "near_tie_count":
-                    val = len(cell["near_ties"]) if "near_ties" in cell else ""
-                elif col == "violation_count":
-                    val = len(cell["violations"]) if "violations" in cell else ""
-                else:
-                    v = cell.get(col)
-                    val = "" if v is None else v
-                val = str(val)
-                if "," in val or '"' in val:
-                    val = '"' + val.replace('"', '""') + '"'
-                row.append(val)
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            row = {**cell, "maximizers": ";".join(cell.get("maximizers") or [])}
+            if "near_ties" in cell:
+                row["near_tie_count"] = len(cell["near_ties"])
+            if "violations" in cell:
+                row["violation_count"] = len(cell["violations"])
+            writer.writerow([row.get(col) for col in self.CSV_COLUMNS])
+        return out.getvalue()
 
     def must_match_failures(self) -> list[dict]:
         return [
@@ -405,16 +399,7 @@ class Report:
         ]
 
 
-def _make_report(campaign: str, parameters: dict, cells: list[dict], totals: dict) -> Report:
-    return Report(campaign=campaign, parameters=parameters, cells=cells, totals=totals)
-
-
-_CAMPAIGN_TO_KIND = {
-    "edge-conn": "edge_connectivity_eq",
-    "vertex-conn": "vertex_connectivity_eq",
-    "chromatic": "chromatic_eq",
-    "max": "none",
-}
+_CAMPAIGN_TO_KIND = {campaign: kind for kind, campaign in _KIND_TO_CAMPAIGN.items()}
 
 
 def _campaign_values(campaign: str, n: int, values) -> list[Optional[int]]:
@@ -431,6 +416,27 @@ def _campaign_values(campaign: str, n: int, values) -> list[Optional[int]]:
     return [v for v in vals if 1 <= v <= n - 1]
 
 
+def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values, epsilon: float,
+                    jobs: int, allow_long: bool) -> tuple[list[dict], int]:
+    """Cells of every campaign, campaign-major, from one scan per order.  The
+    graphs-scanned count is summed over campaigns, as if each had its own scan."""
+    cells: list[dict] = []
+    graphs_scanned = 0
+    for n in n_values:
+        constraints = [
+            ConstraintSpec(_CAMPAIGN_TO_KIND[campaign], v)
+            for campaign in campaigns
+            for v in _campaign_values(campaign, n, values)
+        ]
+        if not constraints:
+            continue
+        results, streamed = _scan_cells(n, constraints, epsilon, jobs, allow_long)
+        graphs_scanned += streamed * len({c.kind for c in constraints})
+        cells.extend(r.to_dict() for r in results)
+    cells.sort(key=lambda cell: campaigns.index(cell["campaign"]))
+    return cells, graphs_scanned
+
+
 def run_campaign(
     campaign: str,
     n_values: Iterable[int],
@@ -439,48 +445,34 @@ def run_campaign(
     epsilon: float = DEFAULT_EPSILON,
     jobs: int = 1,
     allow_long: bool = False,
-    predictions: bool = True,
 ) -> Report:
     """One ExtremalResult cell per (n, value); cells of equal n share a scan.
 
-    With predictions off, cells report the maximizer set without comparing
-    it to the expected family (predicted/matches/verdict stay null).
+    Explicit `values` that give no cell at any order raise ValueError.
     """
     if campaign not in _CAMPAIGN_TO_KIND:
         raise ValueError(f"unknown campaign {campaign!r}")
-    kind = _CAMPAIGN_TO_KIND[campaign]
-    t0 = time.time()
+    t0 = time.monotonic()
     value_list = list(values) if values is not None else None
-    cells: list[dict] = []
-    graphs_scanned = 0
-    for n in sorted(set(n_values)):
-        vals = _campaign_values(campaign, n, value_list)
-        constraints = [ConstraintSpec(kind, v) for v in vals]
-        if not constraints:
-            continue
-        results, streamed = _scan_cells(n, constraints, epsilon, jobs, allow_long)
-        graphs_scanned += streamed
-        for r in results:
-            if not predictions:
-                r.predicted = None
-                r.matches = None
-                r.verdict = None
-            cells.append(r.to_dict())
+    ns = sorted(set(n_values))
+    cells, graphs_scanned = _scan_campaigns(
+        (campaign,), ns, value_list, epsilon, jobs, allow_long)
+    if value_list is not None and not cells:
+        raise ValueError(f"no order in {ns} admits {campaign} value(s) {value_list}")
     params = {
         "campaign": campaign,
-        "n_values": sorted(set(n_values)),
+        "n_values": ns,
         "values": value_list,
         "epsilon": epsilon,
         "jobs": jobs,
         "allow_long": allow_long,
-        "predictions": predictions,
     }
     totals = {
         "cells": len(cells),
         "graphs_scanned": graphs_scanned,
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.monotonic() - t0, 3),
     }
-    return _make_report(campaign, params, cells, totals)
+    return Report(campaign, params, cells, totals)
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
@@ -509,7 +501,7 @@ def verify_monotonicity(trials: int, n_max: int, seed: int) -> Report:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 3 <= n_max <= 64:
         raise ValueError(f"n_max must be in 3..64, got {n_max}")
-    t0 = time.time()
+    t0 = time.monotonic()
     rng = random.Random(seed)
     min_gain = None
     min_witness = None
@@ -547,8 +539,8 @@ def verify_monotonicity(trials: int, n_max: int, seed: int) -> Report:
         "matches": not violations,
     }
     params = {"campaign": "monotonicity", "trials": trials, "n_max": n_max, "seed": seed}
-    totals = {"cells": 1, "trials": trials, "wall_time_s": round(time.time() - t0, 3)}
-    return _make_report("monotonicity", params, [cell], totals)
+    totals = {"cells": 1, "trials": trials, "wall_time_s": round(time.monotonic() - t0, 3)}
+    return Report("monotonicity", params, [cell], totals)
 
 
 def verify_bridge_rewrite(n_max: int) -> Report:
@@ -556,7 +548,7 @@ def verify_bridge_rewrite(n_max: int) -> Report:
     step down to the pendant-clique endpoint of the chain."""
     if n_max < 6:
         raise ValueError(f"n_max must be >= 6, got {n_max}")
-    t0 = time.time()
+    t0 = time.monotonic()
     memo: dict[tuple[int, int], float] = {}
 
     def bridge_abc(x: int, y: int) -> float:
@@ -597,9 +589,9 @@ def verify_bridge_rewrite(n_max: int) -> Report:
     totals = {
         "cells": len(cells),
         "comparisons": sum(c["comparisons"] for c in cells),
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.monotonic() - t0, 3),
     }
-    return _make_report("bridge", params, cells, totals)
+    return Report("bridge", params, cells, totals)
 
 
 def run_full_battery(
@@ -615,16 +607,12 @@ def run_full_battery(
 ) -> Report:
     """Every campaign at once: connectivity and chromatic scans over the
     n-range plus the monotonicity and bridge-rewrite property runs."""
-    t0 = time.time()
+    t0 = time.monotonic()
     ns = list(range(max(3, n_lo), n_hi + 1))
-    sub = [
-        run_campaign("edge-conn", ns, epsilon=epsilon, jobs=jobs, allow_long=allow_long),
-        run_campaign("vertex-conn", ns, epsilon=epsilon, jobs=jobs, allow_long=allow_long),
-        run_campaign("chromatic", ns, epsilon=epsilon, jobs=jobs, allow_long=allow_long),
-        verify_monotonicity(trials, 12, seed),
-        verify_bridge_rewrite(bridge_n_max),
-    ]
-    cells = [c for rep in sub for c in rep.cells]
+    cells, graphs_scanned = _scan_campaigns(
+        ("edge-conn", "vertex-conn", "chromatic"), ns, None, epsilon, jobs, allow_long)
+    cells += verify_monotonicity(trials, 12, seed).cells
+    cells += verify_bridge_rewrite(bridge_n_max).cells
     params = {
         "campaign": "all",
         "n_range": [n_lo, n_hi],
@@ -637,7 +625,7 @@ def run_full_battery(
     }
     totals = {
         "cells": len(cells),
-        "graphs_scanned": sum(r.totals.get("graphs_scanned", 0) for r in sub),
-        "wall_time_s": round(time.time() - t0, 3),
+        "graphs_scanned": graphs_scanned,
+        "wall_time_s": round(time.monotonic() - t0, 3),
     }
-    return _make_report("all", params, cells, totals)
+    return Report("all", params, cells, totals)

@@ -165,3 +165,30 @@ class TestUsage:
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "edge-conn", "--n-range", "8..4")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("edge-conn", "--k", "99"),
+        ("edge-conn", "--k", "0"),
+        ("chromatic", "--chi", "0"),
+        ("edge-conn", "--jobs", "0"),
+        ("edge-conn", "--jobs", "-3"),
+    ])
+    def test_bad_selection(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv, "--n-range", "4..5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_crash_exits_2_without_report(self, capsys, monkeypatch, tmp_path, jobs):
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("abcmax.verifier._scan_kernel", crash)
+        monkeypatch.setattr("abcmax.verifier.SEED_DEPTH", 4)  # n=5 goes through the pool
+        out_file = tmp_path / "r.json"
+        code, _, err = run_cli(capsys, "verify", "edge-conn", "--n-range", "5..5",
+                               "--jobs", jobs, "--out", str(out_file))
+        assert code == 2
+        assert err.strip().splitlines() == ["error: RuntimeError('boom')"]
+        assert not out_file.exists()

@@ -1,7 +1,10 @@
+import csv
+import io
 import math
 
 import pytest
 
+from abcmax import verifier
 from abcmax.enumeration import are_isomorphic
 from abcmax.graphs import decode_graph6, kn_k_graph, turan_graph, complete_graph
 from abcmax.verifier import (
@@ -116,12 +119,11 @@ class TestCampaigns:
         rep = run_campaign("chromatic", [])
         assert rep.cells == []
 
-    def test_predictions_off(self):
-        rep = run_campaign("edge-conn", [5], [1], predictions=False)
-        cell = rep.cells[0]
-        assert cell["predicted"] is None
-        assert cell["matches"] is None
-        assert cell["maximizers"]  # the scan itself still runs
+    def test_values_without_cells_rejected(self):
+        with pytest.raises(ValueError):
+            run_campaign("edge-conn", [4, 5], [99])
+        with pytest.raises(ValueError):
+            run_campaign("chromatic", [5], [0])
 
     def test_unknown_campaign(self):
         with pytest.raises(ValueError):
@@ -177,6 +179,9 @@ class TestReports:
         lines = csv_text.strip().split("\n")
         assert lines[0].startswith("campaign,kind,n,value")
         assert len(lines) == 1 + len(rep.cells)
+        rows = list(csv.DictReader(io.StringIO(csv_text)))
+        assert [int(r["n"]) for r in rows] == [c["n"] for c in rep.cells]
+        assert [r["maximizers"].split(";") for r in rows] == [c["maximizers"] for c in rep.cells]
 
     def test_maximizer_g6_round_trips(self):
         rep = run_campaign("chromatic", [6], [3])
@@ -190,3 +195,39 @@ class TestReports:
         campaigns = {c["campaign"] for c in rep.cells}
         assert campaigns == {"edge-conn", "vertex-conn", "chromatic", "monotonicity", "bridge"}
         assert not rep.must_match_failures()
+
+
+class TestFusedScan:
+    CAMPAIGNS = ("edge-conn", "vertex-conn", "chromatic")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_battery_equals_separate_campaigns(self, monkeypatch, jobs):
+        monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
+        scans = []
+        real_scan_cells = verifier._scan_cells
+
+        def counting_scan_cells(n, *args):
+            scans.append(n)
+            return real_scan_cells(n, *args)
+
+        monkeypatch.setattr(verifier, "_scan_cells", counting_scan_cells)
+        battery = run_full_battery(4, 6, jobs=jobs, trials=20, bridge_n_max=6)
+        assert scans == [4, 5, 6]
+        separate = [run_campaign(c, range(4, 7), jobs=jobs) for c in self.CAMPAIGNS]
+        fused = [c for c in battery.cells if c["campaign"] in self.CAMPAIGNS]
+        assert fused == [cell for rep in separate for cell in rep.cells]
+        assert battery.totals["graphs_scanned"] == sum(
+            rep.totals["graphs_scanned"] for rep in separate)
+
+    def test_subtrees_seeded_once_per_parallel_order(self, monkeypatch):
+        monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
+        seeded = []
+        real_subtree_seeds = verifier.subtree_seeds
+
+        def counting_subtree_seeds(n, depth):
+            seeded.append(n)
+            return real_subtree_seeds(n, depth)
+
+        monkeypatch.setattr(verifier, "subtree_seeds", counting_subtree_seeds)
+        run_full_battery(4, 6, jobs=2, trials=20, bridge_n_max=6)
+        assert seeded == [5, 6]

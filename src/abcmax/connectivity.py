@@ -1,14 +1,21 @@
 """Exact edge- and vertex-connectivity via unit-capacity augmenting paths.
 
-Both functions are exact; speed only needs to be adequate for enumeration
-scale.  Disconnected graphs return 0 (campaign filters rely on the value
-rather than an error), and complete graphs use the n-1 convention for
-vertex connectivity.
+One routine, `_augment`, pushes augmenting paths over int bitset rows: arcs
+in `unit` carry capacity 1 and arcs in `free` are uncapacitated.  Edge
+connectivity runs it on the adjacency rows themselves.  Vertex connectivity
+runs it on the split graph, built once per graph: node 2v is v_in and 2v+1 is
+v_out, the arc v_in -> v_out is unit, and every edge uv becomes the free arcs
+v_out -> u_in and u_out -> v_in, so a minimum cut can only cross in -> out
+arcs, i.e. vertices.  The residual reach set of the call that sets the
+minimum is the source side of a minimum cut, which gives the witnesses.
+
+Disconnected graphs return 0 (campaign filters rely on the value rather than
+an error), and complete graphs use the n-1 convention for vertex
+connectivity.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,159 +30,114 @@ class ConnectivityResult:
     min_vertex_cut: Optional[tuple[int, ...]] = None
 
 
-def _edge_flow(rows, n: int, s: int, t: int, limit: int):
-    """Max number of edge-disjoint s-t paths, capped at `limit`.
+def _augment(unit, free, s: int, t: int, limit: int) -> tuple[int, int]:
+    """Max s-t flow, capped at `limit`, and the residual reach set of s.
 
-    Returns (flow, residual) where residual[u] maps v -> remaining capacity.
+    When the flow is below `limit`, `reach` is the source side of a minimum
+    s-t cut.  out[u] holds the heads and inn[u] the tails of arcs that carry
+    flow; an arc back along carried flow cancels it.
     """
-    res = [{v: 1 for v in _bits(rows[u])} for u in range(n)]
+    out = [0] * len(unit)
+    inn = [0] * len(unit)
     flow = 0
+    reach = 1 << s
     while flow < limit:
-        parent = [-1] * n
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] == -1:
-            u = queue.popleft()
-            for v, c in res[u].items():
-                if c > 0 and parent[v] == -1:
-                    parent[v] = u
-                    if v == t:
-                        break
-                    queue.append(v)
-        if parent[t] == -1:
-            break
+        reach = frontier = 1 << s
+        layers = [frontier]
+        while frontier and not (reach >> t) & 1:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                u = low.bit_length() - 1
+                frontier ^= low
+                nxt |= (unit[u] & ~out[u]) | free[u] | inn[u]
+            frontier = nxt & ~reach
+            reach |= frontier
+            layers.append(frontier)
+        if not (reach >> t) & 1:
+            return flow, reach
         v = t
-        while v != s:
-            u = parent[v]
-            res[u][v] -= 1
-            res[v][u] = res[v].get(u, 0) + 1
+        for layer in reversed(layers[:-1]):
+            while True:  # a predecessor of v in the previous BFS layer
+                low = layer & -layer
+                u = low.bit_length() - 1
+                if (((unit[u] & ~out[u]) | free[u] | inn[u]) >> v) & 1:
+                    break
+                layer ^= low
+            if (inn[u] >> v) & 1:
+                inn[u] ^= 1 << v
+                out[v] ^= 1 << u
+            else:
+                out[u] |= 1 << v
+                inn[v] |= 1 << u
             v = u
         flow += 1
-    return flow, res
+    return flow, reach
+
+
+def _edge_cut(g: Graph) -> tuple[int, int]:
+    """(lambda, source side of a minimum edge cut as a vertex mask)."""
+    n = g.n
+    if n == 1 or not is_connected(g):
+        return 0, 0
+    # lambda <= min degree, witnessed by the star of a minimum-degree vertex
+    best, v = min((r.bit_count(), v) for v, r in enumerate(g.rows))
+    best_reach = 1 << v
+    free = (0,) * n
+    for t in range(1, n):
+        if best == 1:
+            break
+        flow, reach = _augment(g.rows, free, 0, t, best)
+        if flow < best:
+            best, best_reach = flow, reach
+    return best, best_reach
+
+
+def _vertex_cut(g: Graph) -> tuple[int, Optional[int]]:
+    """(kappa, split-graph reach set of a minimum vertex cut, None if none)."""
+    n = g.n
+    if n == 1 or not is_connected(g):
+        return 0, None
+    unit = [0] * (2 * n)
+    free = [0] * (2 * n)
+    for v in range(n):
+        unit[2 * v] = 1 << (2 * v + 1)
+        for u in _bits(g.rows[v]):
+            free[2 * v + 1] |= 1 << (2 * u)
+    full = (1 << n) - 1
+    best, best_reach = n - 1, None  # complete graphs have no non-adjacent pair
+    for s in range(n):
+        for t in _bits(full & ~g.rows[s] & ~((1 << (s + 1)) - 1)):
+            flow, reach = _augment(unit, free, 2 * s + 1, 2 * t, best)
+            if flow < best:
+                best, best_reach = flow, reach
+                if best == 1:
+                    return best, best_reach
+    return best, best_reach
 
 
 def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose deletion disconnects g (0 for K_1)."""
-    n = g.n
-    if n == 1 or not is_connected(g):
-        return 0
-    best = min(r.bit_count() for r in g.rows)  # lambda <= min degree
-    for t in range(1, n):
-        flow, _ = _edge_flow(g.rows, n, 0, t, best)
-        if flow < best:
-            best = flow
-            if best == 1:
-                break
-    return best
-
-
-def _vertex_flow(rows, n: int, s: int, t: int, limit: int):
-    """Max internally vertex-disjoint s-t paths for non-adjacent s, t.
-
-    Works on the split graph: node 2v is v_in, 2v+1 is v_out; the in->out
-    arc carries capacity 1 except at the terminals.
-    """
-    big = n
-    res: list[dict[int, int]] = [dict() for _ in range(2 * n)]
-    for v in range(n):
-        res[2 * v][2 * v + 1] = big if v in (s, t) else 1
-        for u in _bits(rows[v]):
-            res[2 * v + 1][2 * u] = big
-    src, dst = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < limit:
-        parent = [-1] * (2 * n)
-        parent[src] = src
-        queue = deque([src])
-        while queue and parent[dst] == -1:
-            u = queue.popleft()
-            for v, c in res[u].items():
-                if c > 0 and parent[v] == -1:
-                    parent[v] = u
-                    if v == dst:
-                        break
-                    queue.append(v)
-        if parent[dst] == -1:
-            break
-        v = dst
-        while v != src:
-            u = parent[v]
-            res[u][v] -= 1
-            res[v][u] = res[v].get(u, 0) + 1
-            v = u
-        flow += 1
-    return flow, res
+    return _edge_cut(g)[0]
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Minimum vertex-cut size; n-1 for complete graphs by convention."""
-    n = g.n
-    if n == 1 or not is_connected(g):
-        return 0
-    full = (1 << n) - 1
-    if all(g.rows[v] == full ^ (1 << v) for v in range(n)):
-        return n - 1
-    best = n - 1
-    for s in range(n):
-        non_adj = full & ~g.rows[s] & ~(1 << s) & ~((1 << (s + 1)) - 1)
-        for t in _bits(non_adj):
-            flow, _ = _vertex_flow(g.rows, n, s, t, best)
-            if flow < best:
-                best = flow
-                if best == 1:
-                    return 1
-    return best
+    return _vertex_cut(g)[0]
 
 
 def connectivity_profile(g: Graph) -> ConnectivityResult:
     """Both connectivities plus witness cuts realizing them (when they exist)."""
-    n = g.n
-    lam = edge_connectivity(g)
-    kap = vertex_connectivity(g)
-    edge_cut = None
-    vertex_cut = None
+    lam, side = _edge_cut(g)
+    kap, reach = _vertex_cut(g)
     if lam == 0:
-        edge_cut = ()
-        vertex_cut = () if n > 1 else None
-        return ConnectivityResult(lam, kap, edge_cut, vertex_cut)
-    # rerun the minimizing edge flow without a cap to read the cut off the residual
-    for t in range(1, n):
-        flow, res = _edge_flow(g.rows, n, 0, t, n * n)
-        if flow == lam:
-            reach = _residual_reachable(res, 0, n)
-            edge_cut = tuple(
-                (min(u, v), max(u, v))
-                for u in _bits(reach)
-                for v in _bits(g.rows[u] & ~reach)
-            )
-            break
-    full = (1 << n) - 1
-    if kap < n - 1:
-        done = False
-        for s in range(n):
-            if done:
-                break
-            non_adj = full & ~g.rows[s] & ~(1 << s) & ~((1 << (s + 1)) - 1)
-            for t in _bits(non_adj):
-                flow, res = _vertex_flow(g.rows, n, s, t, n * n)
-                if flow == kap:
-                    reach = _residual_reachable(res, 2 * s + 1, 2 * n)
-                    vertex_cut = tuple(
-                        v for v in range(n)
-                        if (reach >> (2 * v)) & 1 and not (reach >> (2 * v + 1)) & 1
-                    )
-                    done = True
-                    break
+        return ConnectivityResult(lam, kap, (), () if g.n > 1 else None)
+    edge_cut = tuple(sorted(
+        (min(u, v), max(u, v)) for u in _bits(side) for v in _bits(g.rows[u] & ~side)
+    ))
+    vertex_cut = None
+    if reach is not None:
+        vertex_cut = tuple(
+            v for v in range(g.n) if (reach >> (2 * v)) & 1 and not (reach >> (2 * v + 1)) & 1
+        )
     return ConnectivityResult(lam, kap, edge_cut, vertex_cut)
-
-
-def _residual_reachable(res, start: int, size: int) -> int:
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v, c in res[u].items():
-            if c > 0 and not (seen >> v) & 1:
-                seen |= 1 << v
-                stack.append(v)
-    return seen

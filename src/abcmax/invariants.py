@@ -1,9 +1,12 @@
 """The atom-bond connectivity index and a pluggable degree-based edge sum.
 
 For an edge uv the ABC contribution is sqrt((d(u)+d(v)-2)/(d(u)d(v))); the
-index is the sum over all edges.  Edges are always visited in (min, max)
-lexicographic order and accumulated with math.fsum, so values are
-bit-reproducible and exact to the last double bit even at n = 200.
+index is the sum over all edges.  Every sum here walks the graph once, in
+`_degree_pairs`, which counts the edges per endpoint-degree pair; each
+distinct pair's term is evaluated once and repeated by its count.  Floats are
+accumulated with math.fsum, which rounds the exact sum of the term multiset
+once, so values are bit-reproducible and exact to the last double bit even at
+n = 200.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from decimal import Decimal, localcontext
 from typing import Callable
 
-from .graphs import Graph, _bits
+from .graphs import Graph
 
 EdgeFunction = Callable[[int, int], float]
 
@@ -24,27 +27,37 @@ def f_abc(a, b) -> float:
     return math.sqrt((a + b - 2) / (a * b))
 
 
-def abc_index(g: Graph) -> float:
+def _degree_pairs(g: Graph) -> dict[tuple[int, int], int]:
+    """Number of edges uv with {d(u), d(v)} = {a, b}, keyed by (a, b), a <= b."""
     deg = [r.bit_count() for r in g.rows]
-    terms = []
-    sqrt = math.sqrt
-    for u in range(g.n):
-        du = deg[u]
-        for v in _bits(g.rows[u] >> (u + 1) << (u + 1)):
-            dv = deg[v]
-            terms.append(sqrt((du + dv - 2) / (du * dv)))
-    return math.fsum(terms)
+    masks: dict[int, int] = {}
+    for v, d in enumerate(deg):
+        masks[d] = masks.get(d, 0) | 1 << v
+    pairs: dict[tuple[int, int], int] = {}
+    for u, row in enumerate(g.rows):
+        a = deg[u]
+        higher = row >> (u + 1) << (u + 1)
+        for b, mask in masks.items():
+            count = (higher & mask).bit_count()
+            if count:
+                key = (a, b) if a <= b else (b, a)
+                pairs[key] = pairs.get(key, 0) + count
+    return pairs
 
 
 def edge_sum(g: Graph, ef: EdgeFunction) -> float:
-    """Sum ef(d(u), d(v)) over all edges uv; edge_sum(g, f_abc) == abc_index(g)."""
-    deg = [r.bit_count() for r in g.rows]
-    terms = []
-    for u in range(g.n):
-        du = deg[u]
-        for v in _bits(g.rows[u] >> (u + 1) << (u + 1)):
-            terms.append(ef(du, deg[v]))
+    """Sum ef(d(u), d(v)) over all edges uv; edge_sum(g, f_abc) == abc_index(g).
+
+    ef is called once per distinct degree pair, with a <= b.
+    """
+    terms: list[float] = []
+    for (a, b), count in _degree_pairs(g).items():
+        terms += [ef(a, b)] * count
     return math.fsum(terms)
+
+
+def abc_index(g: Graph) -> float:
+    return edge_sum(g, f_abc)
 
 
 def abc_index_decimal(g: Graph, digits: int = 40) -> Decimal:
@@ -53,15 +66,11 @@ def abc_index_decimal(g: Graph, digits: int = 40) -> Decimal:
     Terms are sorted before summation so equal degree-pair multisets give
     identical Decimal values.
     """
-    deg = [r.bit_count() for r in g.rows]
     with localcontext() as ctx:
         ctx.prec = digits
-        terms = []
-        for u in range(g.n):
-            du = deg[u]
-            for v in _bits(g.rows[u] >> (u + 1) << (u + 1)):
-                dv = deg[v]
-                terms.append((Decimal(du + dv - 2) / Decimal(du * dv)).sqrt())
+        terms: list[Decimal] = []
+        for (a, b), count in _degree_pairs(g).items():
+            terms += [(Decimal(a + b - 2) / Decimal(a * b)).sqrt()] * count
         terms.sort()
         total = Decimal(0)
         for t in terms:

@@ -448,7 +448,7 @@ def run_campaign(
 ) -> Report:
     """One ExtremalResult cell per (n, value); cells of equal n share a scan.
 
-    Explicit `values` that give no cell at any order raise ValueError.
+    A selection that gives no cell at any order raises ValueError.
     """
     if campaign not in _CAMPAIGN_TO_KIND:
         raise ValueError(f"unknown campaign {campaign!r}")
@@ -457,8 +457,9 @@ def run_campaign(
     ns = sorted(set(n_values))
     cells, graphs_scanned = _scan_campaigns(
         (campaign,), ns, value_list, epsilon, jobs, allow_long)
-    if value_list is not None and not cells:
-        raise ValueError(f"no order in {ns} admits {campaign} value(s) {value_list}")
+    if not cells:
+        selection = "" if value_list is None else f" for value(s) {value_list}"
+        raise ValueError(f"no order in {ns} admits {campaign} cells{selection}")
     params = {
         "campaign": campaign,
         "n_values": ns,
@@ -608,11 +609,13 @@ def run_full_battery(
     """Every campaign at once: connectivity and chromatic scans over the
     n-range plus the monotonicity and bridge-rewrite property runs."""
     t0 = time.monotonic()
+    # the property runs go first so that their argument errors come before any scan
+    properties = verify_monotonicity(trials, 12, seed).cells
+    properties += verify_bridge_rewrite(bridge_n_max).cells
     ns = list(range(max(3, n_lo), n_hi + 1))
     cells, graphs_scanned = _scan_campaigns(
         ("edge-conn", "vertex-conn", "chromatic"), ns, None, epsilon, jobs, allow_long)
-    cells += verify_monotonicity(trials, 12, seed).cells
-    cells += verify_bridge_rewrite(bridge_n_max).cells
+    cells += properties
     params = {
         "campaign": "all",
         "n_range": [n_lo, n_hi],

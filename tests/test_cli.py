@@ -167,14 +167,16 @@ class TestUsage:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ("edge-conn", "--k", "99"),
-        ("edge-conn", "--k", "0"),
-        ("chromatic", "--chi", "0"),
-        ("edge-conn", "--jobs", "0"),
-        ("edge-conn", "--jobs", "-3"),
+        ("edge-conn", "--k", "99", "--n-range", "4..5"),
+        ("edge-conn", "--k", "0", "--n-range", "4..5"),
+        ("chromatic", "--chi", "0", "--n-range", "4..5"),
+        ("edge-conn", "--jobs", "0", "--n-range", "4..5"),
+        ("edge-conn", "--jobs", "-3", "--n-range", "4..5"),
+        ("edge-conn", "--n-range", "1..2"),
+        ("vertex-conn", "--n-range", "1..2"),
     ])
     def test_bad_selection(self, capsys, argv):
-        code, out, err = run_cli(capsys, "verify", *argv, "--n-range", "4..5")
+        code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")

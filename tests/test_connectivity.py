@@ -1,5 +1,8 @@
 from itertools import combinations
 
+import pytest
+
+from abcmax import connectivity
 from abcmax.connectivity import (
     connectivity_profile,
     edge_connectivity,
@@ -18,16 +21,33 @@ from abcmax.graphs import (
 )
 
 
+def without_vertices(g: Graph, cut) -> Graph:
+    keep = [v for v in range(g.n) if v not in cut]
+    return Graph.from_edges(
+        len(keep),
+        [
+            (i, j)
+            for i in range(len(keep))
+            for j in range(i + 1, len(keep))
+            if g.has_edge(keep[i], keep[j])
+        ],
+    )
+
+
+def without_edges(g: Graph, cut) -> Graph:
+    rows = list(g.rows)
+    for u, v in cut:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return Graph(g.n, tuple(rows))
+
+
 def brute_edge_connectivity_upto(g: Graph, max_size: int):
     """Smallest disconnecting edge set of size <= max_size, else None."""
     edges = list(g.edges())
     for size in range(0, max_size + 1):
         for subset in combinations(edges, size):
-            rows = list(g.rows)
-            for u, v in subset:
-                rows[u] &= ~(1 << v)
-                rows[v] &= ~(1 << u)
-            if not is_connected(Graph(g.n, tuple(rows))):
+            if not is_connected(without_edges(g, subset)):
                 return size
     return None
 
@@ -37,17 +57,7 @@ def brute_vertex_connectivity(g: Graph) -> int:
     n = g.n
     for size in range(0, n - 1):
         for subset in combinations(range(n), size):
-            keep = [v for v in range(n) if v not in subset]
-            sub = Graph.from_edges(
-                len(keep),
-                [
-                    (i, j)
-                    for i in range(len(keep))
-                    for j in range(i + 1, len(keep))
-                    if g.has_edge(keep[i], keep[j])
-                ],
-            )
-            if not is_connected(sub):
+            if not is_connected(without_vertices(g, subset)):
                 return size
     return n - 1
 
@@ -122,32 +132,73 @@ class TestStructuralProperties:
                 assert vertex_connectivity(g) == k
 
 
+def connected_classes_upto_7():
+    return [g for n in range(1, 8) for g in connected_graph_list(n)]
+
+
+class TestAtlasOracle:
+    def test_matches_networkx_on_connected_atlas(self):
+        nx = pytest.importorskip("networkx")
+        checked = 0
+        for atlas_graph in nx.graph_atlas_g():
+            n = atlas_graph.number_of_nodes()
+            if n == 0 or not nx.is_connected(atlas_graph):
+                continue
+            g = Graph.from_edges(n, atlas_graph.edges())
+            assert edge_connectivity(g) == nx.edge_connectivity(atlas_graph)
+            assert vertex_connectivity(g) == nx.node_connectivity(atlas_graph)
+            checked += 1
+        assert checked == 996
+
+
+class TestProfile:
+    def test_witnesses_on_every_class_upto_7(self):
+        for g in connected_classes_upto_7():
+            if g.n == 1:
+                continue
+            prof = connectivity_profile(g)
+            assert prof.edge_connectivity == edge_connectivity(g)
+            assert prof.vertex_connectivity == vertex_connectivity(g)
+            assert len(prof.min_edge_cut) == prof.edge_connectivity
+            assert all(g.has_edge(u, v) for u, v in prof.min_edge_cut)
+            assert not is_connected(without_edges(g, prof.min_edge_cut))
+            complete = g.edge_count() == g.n * (g.n - 1) // 2
+            assert (prof.min_vertex_cut is None) == complete
+            if not complete:
+                assert len(prof.min_vertex_cut) == prof.vertex_connectivity
+                assert not is_connected(without_vertices(g, prof.min_vertex_cut))
+
+    def test_no_flow_calls_beyond_lambda_and_kappa(self, monkeypatch):
+        calls = []
+        real_augment = connectivity._augment
+
+        def counting_augment(*args):
+            calls.append(args)
+            return real_augment(*args)
+
+        monkeypatch.setattr(connectivity, "_augment", counting_augment)
+        for g in connected_classes_upto_7():
+            calls.clear()
+            edge_connectivity(g)
+            vertex_connectivity(g)
+            separate = len(calls)
+            calls.clear()
+            connectivity_profile(g)
+            assert len(calls) == separate
+
+
 class TestWitnesses:
     def test_edge_cut_witness_disconnects(self):
         for g in (bridge_cliques_graph(3, 4), kn_k_graph(6, 2), cycle_graph(6)):
             prof = connectivity_profile(g)
             assert len(prof.min_edge_cut) == prof.edge_connectivity
-            rows = list(g.rows)
-            for u, v in prof.min_edge_cut:
-                rows[u] &= ~(1 << v)
-                rows[v] &= ~(1 << u)
-            assert not is_connected(Graph(g.n, tuple(rows)))
+            assert not is_connected(without_edges(g, prof.min_edge_cut))
 
     def test_vertex_cut_witness_disconnects(self):
         g = kn_k_graph(6, 3)
         prof = connectivity_profile(g)
         assert len(prof.min_vertex_cut) == 3
-        keep = [v for v in range(g.n) if v not in prof.min_vertex_cut]
-        sub = Graph.from_edges(
-            len(keep),
-            [
-                (i, j)
-                for i in range(len(keep))
-                for j in range(i + 1, len(keep))
-                if g.has_edge(keep[i], keep[j])
-            ],
-        )
-        assert not is_connected(sub)
+        assert not is_connected(without_vertices(g, prof.min_vertex_cut))
 
     def test_complete_graph_has_no_vertex_cut(self):
         prof = connectivity_profile(complete_graph(4))

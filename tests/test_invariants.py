@@ -4,9 +4,11 @@ from decimal import Decimal
 
 import pytest
 
+from abcmax.enumeration import connected_graph_list
 from abcmax.graphs import (
     Graph,
     add_edge,
+    bridge_cliques_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -22,6 +24,11 @@ from abcmax.invariants import abc_index, abc_index_decimal, edge_sum, f_abc
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def per_edge_abc(g: Graph) -> float:
+    deg = g.degrees()
+    return math.fsum(f_abc(deg[u], deg[v]) for u, v in g.edges())
 
 
 class TestEdgeFunction:
@@ -112,6 +119,13 @@ class TestAbcIndex:
             assert len(hits) == 1
             assert hits[0].edge_count() == n * (n - 1) // 2
 
+    def test_degree_pair_sum_equals_per_edge_sum(self):
+        graphs = [g for n in range(2, 8) for g in connected_graph_list(n)]
+        graphs += [bridge_cliques_graph(x, n - x) for n in range(2, 101) for x in range(1, n // 2 + 1)]
+        graphs += [complete_graph(n) for n in range(2, 201)]
+        for g in graphs:
+            assert abc_index(g) == per_edge_abc(g)
+
     def test_decimal_agrees_with_float(self):
         for g in (kn_k_graph(6, 3), turan_graph(9, 3), cycle_graph(7)):
             assert float(abc_index_decimal(g)) == pytest.approx(abc_index(g), abs=1e-12)
@@ -129,10 +143,16 @@ class TestEdgeSum:
 
     def test_matches_abc(self):
         g = turan_graph(8, 3)
-        assert edge_sum(g, f_abc) == pytest.approx(abc_index(g), abs=1e-12)
+        assert edge_sum(g, f_abc) == abc_index(g)
 
     def test_k5_abc(self):
         assert edge_sum(complete_graph(5), f_abc) == pytest.approx(5 * math.sqrt(6) / 2, abs=1e-12)
 
     def test_degree_sum_function(self):
         assert edge_sum(path_graph(3), lambda a, b: float(a + b)) == 6.0
+
+    def test_one_call_per_degree_pair(self):
+        calls = []
+        g = kn_k_graph(6, 3)  # degree pairs (5,5)x3, (4,4)x1, (3,5)x3, (4,5)x6
+        edge_sum(g, lambda a, b: calls.append((a, b)) or 1.0)
+        assert sorted(calls) == [(3, 5), (4, 4), (4, 5), (5, 5)]

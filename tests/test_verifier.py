@@ -5,6 +5,7 @@ import math
 import pytest
 
 from abcmax import verifier
+from abcmax.cli import main
 from abcmax.enumeration import are_isomorphic
 from abcmax.graphs import decode_graph6, kn_k_graph, turan_graph, complete_graph
 from abcmax.verifier import (
@@ -116,8 +117,10 @@ class TestCampaigns:
         assert cell["verdict"] in ("confirmed", "refuted")
 
     def test_empty_range(self):
-        rep = run_campaign("chromatic", [])
-        assert rep.cells == []
+        with pytest.raises(ValueError):
+            run_campaign("chromatic", [])
+        with pytest.raises(ValueError):
+            run_campaign("edge-conn", [1, 2])
 
     def test_values_without_cells_rejected(self):
         with pytest.raises(ValueError):
@@ -218,6 +221,15 @@ class TestFusedScan:
         assert fused == [cell for rep in separate for cell in rep.cells]
         assert battery.totals["graphs_scanned"] == sum(
             rep.totals["graphs_scanned"] for rep in separate)
+
+    def test_bad_trials_fail_before_any_scan(self, monkeypatch, capsys):
+        scans = []
+        monkeypatch.setattr(verifier, "_scan_cells", lambda n, *args: scans.append(n))
+        with pytest.raises(ValueError):
+            run_full_battery(4, 5, trials=0)
+        assert main(["verify", "all", "--n-range", "4..5", "--trials", "0"]) == 2
+        assert "trials" in capsys.readouterr().err
+        assert scans == []
 
     def test_subtrees_seeded_once_per_parallel_order(self, monkeypatch):
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)

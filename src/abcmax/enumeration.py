@@ -308,7 +308,7 @@ def _expand(rows, k: int, cf: Optional[bytes], n_target: int) -> Iterator[tuple[
         yield from _expand(child_rows, k + 1, child_cf, n_target)
 
 
-def _check_order(n: int, allow_long: bool) -> None:
+def check_order(n: int, allow_long: bool) -> None:
     cap = LONG_RUN_CAP if allow_long else DEFAULT_ENUMERATION_CAP
     if not 1 <= n <= cap:
         raise ValueError(
@@ -319,7 +319,7 @@ def _check_order(n: int, allow_long: bool) -> None:
 
 def connected_graphs(n: int, allow_long: bool = False) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
-    _check_order(n, allow_long)
+    check_order(n, allow_long)
     for rows, _ in _expand((0,), 1, None, n):
         yield Graph(n, rows)
 
@@ -332,15 +332,10 @@ def connected_graph_list(n: int) -> tuple[Graph, ...]:
     return tuple(connected_graphs(n))
 
 
-def subtree_seeds(n: int, depth: int) -> list[tuple[int, ...]]:
-    """Row tuples of every class at `depth`; expanding each to order n in
-    list order reproduces the connected_graphs(n) stream exactly."""
-    if not 1 <= depth <= n:
-        raise ValueError(f"seed depth {depth} outside 1..{n}")
-    return [rows for rows, _ in _expand((0,), 1, None, depth)]
-
-
 def expand_seed(rows: tuple[int, ...], n_target: int) -> Iterator[Graph]:
+    """The subtree of the class with these rows, grown to order n_target.
+    Expanding every class of connected_graph_list(k), k <= n_target, in list
+    order reproduces the connected_graphs(n_target) stream exactly."""
     k = len(rows)
     for child_rows, _ in _expand(rows, k, None, n_target):
         yield Graph(n_target, child_rows)
@@ -358,7 +353,7 @@ def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
 def all_graphs(n: int, allow_long: bool = False) -> Iterator[Graph]:
     """All graphs on n vertices up to isomorphism, as multisets of
     connected components (a class is exactly its component multiset)."""
-    _check_order(n, allow_long)
+    check_order(n, allow_long)
     pools = {size: list(connected_graphs(size, allow_long)) for size in range(1, n + 1)}
     for partition in _partitions(n, n):
         sizes = sorted(set(partition), reverse=True)

@@ -3,10 +3,15 @@
 Each (n, constraint) cell scans every connected graph of order n satisfying
 the constraint, tracks the ABC maximum together with everything within
 epsilon of it, re-evaluates the near-tie set at 40 significant decimals, and
-only then declares a unique maximizer or a genuine tie.  Cells are
-independent, and a scan can be partitioned over canonical-parent subtrees;
-every aggregate is an associative, commutative reduction, so worker count
-never changes a result field.
+only then declares a unique maximizer or a genuine tie.
+
+A scan of order n has one path.  Its tasks are the canonical-parent
+subtrees rooted at the cached classes of order min(n, SEED_DEPTH); each
+task streams its subtree through every cell of the order and returns one
+partial per cell, and the partials are folded into the cells in task order.
+Worker count only decides where the tasks run: in this process, or in a
+fork pool when jobs > 1 and n > SEED_DEPTH.  The fold is an associative,
+commutative reduction, so worker count never changes a result field.
 """
 
 from __future__ import annotations
@@ -25,13 +30,7 @@ from typing import Iterable, Optional, Sequence
 from . import bounds
 from .coloring import chromatic_number, is_k_colorable
 from .connectivity import edge_connectivity, vertex_connectivity
-from .enumeration import (
-    are_isomorphic,
-    connected_graph_list,
-    connected_graphs,
-    expand_seed,
-    subtree_seeds,
-)
+from .enumeration import are_isomorphic, check_order, connected_graph_list, expand_seed
 from .graphs import (
     Graph,
     add_edge,
@@ -50,7 +49,7 @@ DEFAULT_EPSILON = 1e-9
 STRICT_GAP_TOL = 1e-12
 TIE_DIGITS = 40
 TIE_TOL = Decimal("1e-20")
-SEED_DEPTH = 7  # subtree partition level for parallel scans
+SEED_DEPTH = 7  # order of the subtree roots a scan is split into
 
 CONSTRAINT_KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq", "none")
 
@@ -190,28 +189,15 @@ class _Accum:
         elif self.runner_up is None or value > self.runner_up:
             self.runner_up = value
 
-    def as_tuple(self):
-        return self.scanned, self.best, self.cands, self.runner_up
-
-
-def _merge_accums(parts, eps: float) -> "_Accum":
-    out = _Accum()
-    out.scanned = sum(p[0] for p in parts)
-    bests = [p[1] for p in parts if p[1] is not None]
-    if not bests:
-        return out
-    out.best = max(bests)
-    runners = [p[3] for p in parts if p[3] is not None]
-    cands = []
-    for p in parts:
-        for v, s in p[2]:
-            if v > out.best - eps:
-                cands.append((v, s))
-            else:
-                runners.append(v)
-    out.cands = cands
-    out.runner_up = max(runners) if runners else None
-    return out
+    def merge(self, other: "_Accum", eps: float) -> None:
+        """Fold in the partial of a disjoint stream, as if its graphs had been
+        added here; its runner-up lies eps below its best, so it stays one."""
+        scanned = self.scanned + other.scanned
+        for v, s in other.cands:
+            self.add(v, s, eps)
+        self.scanned = scanned
+        if other.runner_up is not None and (self.runner_up is None or other.runner_up > self.runner_up):
+            self.runner_up = other.runner_up
 
 
 def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec], eps: float):
@@ -254,11 +240,18 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
     return accums, streamed
 
 
-def _scan_worker(task):
-    seed_rows, n, constraint_tuples, eps = task
-    constraints = [ConstraintSpec(k, v) for k, v in constraint_tuples]
-    accums, streamed = _scan_kernel(expand_seed(seed_rows, n), constraints, eps)
-    return [a.as_tuple() for a in accums], streamed
+def _scan_subtree(task):
+    rows, n, constraints, eps = task
+    return _scan_kernel(expand_seed(rows, n), constraints, eps)
+
+
+def _subtree_partials(tasks: list, jobs: int, pooled: bool):
+    """Each task's (partials, streamed), in task order."""
+    if not pooled:
+        yield from map(_scan_subtree, tasks)
+        return
+    with get_context("fork").Pool(processes=jobs) as pool:
+        yield from pool.imap(_scan_subtree, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
 
 
 def _scan_cells(
@@ -268,20 +261,15 @@ def _scan_cells(
     jobs: int,
     allow_long: bool,
 ) -> tuple[list["ExtremalResult"], int]:
-    if jobs > 1 and n > SEED_DEPTH:
-        ctuples = tuple((c.kind, c.value) for c in constraints)
-        tasks = [(rows, n, ctuples, eps) for rows in subtree_seeds(n, SEED_DEPTH)]
-        accums = [_Accum() for _ in constraints]
-        streamed = 0
-        with get_context("fork").Pool(processes=jobs) as pool:
-            # fold each subtree's partials in as it arrives rather than holding them all
-            chunksize = max(1, len(tasks) // (jobs * 8))
-            for parts, count in pool.imap(_scan_worker, tasks, chunksize=chunksize):
-                streamed += count
-                accums = [_merge_accums([a.as_tuple(), p], eps) for a, p in zip(accums, parts)]
-    else:
-        source = connected_graph_list(n) if n <= 8 else connected_graphs(n, allow_long)
-        accums, streamed = _scan_kernel(source, constraints, eps)
+    check_order(n, allow_long)
+    tasks = [(g.rows, n, constraints, eps) for g in connected_graph_list(min(n, SEED_DEPTH))]
+    accums = [_Accum() for _ in constraints]
+    streamed = 0
+    # fold each subtree's partials in as it arrives rather than holding them all
+    for parts, count in _subtree_partials(tasks, jobs, jobs > 1 and n > SEED_DEPTH):
+        streamed += count
+        for a, p in zip(accums, parts):
+            a.merge(p, eps)
     results = [_finalize_cell(n, c, a, eps) for c, a in zip(constraints, accums)]
     return results, streamed
 
@@ -420,6 +408,8 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values, e
                     jobs: int, allow_long: bool) -> tuple[list[dict], int]:
     """Cells of every campaign, campaign-major, from one scan per order.  The
     graphs-scanned count is summed over campaigns, as if each had its own scan."""
+    for n in n_values:
+        check_order(n, allow_long)
     cells: list[dict] = []
     graphs_scanned = 0
     for n in n_values:
@@ -609,10 +599,13 @@ def run_full_battery(
     """Every campaign at once: connectivity and chromatic scans over the
     n-range plus the monotonicity and bridge-rewrite property runs."""
     t0 = time.monotonic()
+    ns = list(range(max(3, n_lo), n_hi + 1))
+    if not ns:
+        raise ValueError(f"n-range {n_lo}..{n_hi} has no order >= 3 to scan")
+    check_order(n_hi, allow_long)
     # the property runs go first so that their argument errors come before any scan
     properties = verify_monotonicity(trials, 12, seed).cells
     properties += verify_bridge_rewrite(bridge_n_max).cells
-    ns = list(range(max(3, n_lo), n_hi + 1))
     cells, graphs_scanned = _scan_campaigns(
         ("edge-conn", "vertex-conn", "chromatic"), ns, None, epsilon, jobs, allow_long)
     cells += properties

@@ -174,6 +174,8 @@ class TestUsage:
         ("edge-conn", "--jobs", "-3", "--n-range", "4..5"),
         ("edge-conn", "--n-range", "1..2"),
         ("vertex-conn", "--n-range", "1..2"),
+        ("chromatic", "--n-range", "11..11", "--chi", "3", "--allow-long", "--jobs", "2"),
+        ("all", "--n-range", "1..2", "--trials", "10"),
     ])
     def test_bad_selection(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)

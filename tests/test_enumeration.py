@@ -10,7 +10,6 @@ from abcmax.enumeration import (
     connected_graph_list,
     connected_graphs,
     expand_seed,
-    subtree_seeds,
 )
 from abcmax.graphs import (
     Graph,
@@ -117,9 +116,22 @@ class TestConnectedEnumeration:
 
     def test_subtree_partition_reproduces_stream(self):
         whole = [encode_graph6(g) for g in connected_graphs(7)]
-        seeds = subtree_seeds(7, 4)
-        pieces = [encode_graph6(g) for rows in seeds for g in expand_seed(rows, 7)]
+        seeds = connected_graph_list(4)
+        pieces = [encode_graph6(g) for seed in seeds for g in expand_seed(seed.rows, 7)]
         assert pieces == whole
+
+    def test_matches_networkx_atlas(self):
+        nx = pytest.importorskip("networkx")
+        atlas: dict[int, set] = {}
+        for atlas_graph in nx.graph_atlas_g():
+            n = atlas_graph.number_of_nodes()
+            if n and nx.is_connected(atlas_graph):
+                atlas.setdefault(n, set()).add(
+                    canonical_form(Graph.from_edges(n, atlas_graph.edges())))
+        for n in range(1, 8):
+            forms = [canonical_form(g) for g in connected_graphs(n)]
+            assert len(forms) == len(set(forms)) == CONNECTED_COUNTS[n]
+            assert set(forms) == atlas[n]
 
 
 class TestAllGraphs:

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import pickle
+import random
 
 import pytest
 
@@ -200,6 +202,27 @@ class TestReports:
         assert not rep.must_match_failures()
 
 
+class TestAccum:
+    def test_folded_partials_equal_one_stream(self):
+        rng = random.Random(5)
+        eps = 0.5
+        for _ in range(300):
+            items = [(rng.choice([rng.uniform(0, 3), float(rng.randint(0, 3))]), f"g{i}")
+                     for i in range(rng.randint(0, 12))]
+            whole = verifier._Accum()
+            for v, s in items:
+                whole.add(v, s, eps)
+            cuts = sorted(rng.choices(range(len(items) + 1), k=3))
+            folded = verifier._Accum()
+            for lo, hi in zip([0] + cuts, cuts + [len(items)]):
+                part = verifier._Accum()
+                for v, s in items[lo:hi]:
+                    part.add(v, s, eps)
+                folded.merge(pickle.loads(pickle.dumps(part)), eps)  # as from a pool worker
+            assert (folded.scanned, folded.best, sorted(folded.cands), folded.runner_up) == \
+                (whole.scanned, whole.best, sorted(whole.cands), whole.runner_up)
+
+
 class TestFusedScan:
     CAMPAIGNS = ("edge-conn", "vertex-conn", "chromatic")
 
@@ -231,15 +254,36 @@ class TestFusedScan:
         assert "trials" in capsys.readouterr().err
         assert scans == []
 
-    def test_subtrees_seeded_once_per_parallel_order(self, monkeypatch):
+    def test_seeds_listed_once_per_order(self, monkeypatch):
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
-        seeded = []
-        real_subtree_seeds = verifier.subtree_seeds
+        real_list = verifier.connected_graph_list
+        for jobs in (1, 2):
+            seeded = []
 
-        def counting_subtree_seeds(n, depth):
-            seeded.append(n)
-            return real_subtree_seeds(n, depth)
+            def counting_list(n):
+                seeded.append(n)
+                return real_list(n)
 
-        monkeypatch.setattr(verifier, "subtree_seeds", counting_subtree_seeds)
-        run_full_battery(4, 6, jobs=2, trials=20, bridge_n_max=6)
-        assert seeded == [5, 6]
+            monkeypatch.setattr(verifier, "connected_graph_list", counting_list)
+            run_campaign("edge-conn", range(3, 7), jobs=jobs)
+            assert seeded == [3, 4, 4, 4]
+
+    def test_order_cap_checked_before_any_scan(self, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("scanned")
+
+        monkeypatch.setattr(verifier, "_scan_kernel", crash)
+        with pytest.raises(ValueError, match="order 11"):
+            run_campaign("chromatic", [8, 11], [3], jobs=2, allow_long=True)
+        with pytest.raises(ValueError, match="order 10"):
+            find_maximizer(10, ConstraintSpec("chromatic_eq", 3), jobs=2)
+
+    def test_battery_range_checked_before_property_runs(self, monkeypatch):
+        def no_property_run(*args):
+            raise AssertionError("property run started")
+
+        monkeypatch.setattr(verifier, "verify_monotonicity", no_property_run)
+        with pytest.raises(ValueError, match="no order >= 3"):
+            run_full_battery(1, 2, trials=10)
+        with pytest.raises(ValueError, match="order 11"):
+            run_full_battery(4, 11, allow_long=True)

@@ -33,7 +33,6 @@ from .verifier import (
 )
 
 DEFAULT_PRECISION = 9
-LONG_RUN_MIN_ORDER = 9
 
 
 class UsageError(Exception):
@@ -135,11 +134,6 @@ def _cmd_bound(args) -> int:
 
 def _cmd_verify(args) -> int:
     lo, hi = _parse_range(args.n_range)
-    enumerates = args.campaign in ("edge-conn", "vertex-conn", "chromatic", "all")
-    if enumerates and hi >= LONG_RUN_MIN_ORDER and not args.allow_long:
-        raise UsageError(
-            f"n up to {hi} needs --allow-long (default cap is {LONG_RUN_MIN_ORDER - 1})"
-        )
     if args.jobs is not None and args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)

@@ -1,9 +1,11 @@
 """Exact chromatic number by saturation-ordered backtracking.
 
-The decision kernel `k_coloring` restricts the first fresh vertex to colours
-0..(max used + 1), the standard symmetry cut; without it order-9 campaigns
-are not feasible.  `chromatic_number` brackets with a greedy clique below
-and DSATUR above, then decides k-colourability upward.
+`k_coloring` is the one colouring search.  It settles k <= 2 and k >= n
+directly (2 by bipartition) and otherwise backtracks in DSATUR order (most
+coloured-neighbour colours first, then degree; Brelaz, CACM 22, 1979),
+restricting the first fresh vertex to colours 0..(max used + 1), the
+standard symmetry cut; without it order-9 campaigns are not feasible.
+`chromatic_number` is the least k at which that search succeeds.
 """
 
 from __future__ import annotations
@@ -103,56 +105,9 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     return k_coloring(g, k) is not None
 
 
-def _greedy_clique(rows, n: int) -> int:
-    # greedy from every start vertex; the bound only prunes, exactness not needed
-    best = 1 if n else 0
-    for start in range(n):
-        clique = 1 << start
-        cand = rows[start]
-        while cand:
-            pick_v = -1
-            pick_score = -1
-            for v in _bits(cand):
-                score = (rows[v] & cand).bit_count()
-                if score > pick_score:
-                    pick_score = score
-                    pick_v = v
-            clique |= 1 << pick_v
-            cand &= rows[pick_v]
-        best = max(best, clique.bit_count())
-    return best
-
-
-def _dsatur(rows, n: int) -> list[int]:
-    color = [-1] * n
-    adj_masks = [0] * n
-    degs = [r.bit_count() for r in rows]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if color[u] == -1),
-            key=lambda u: (adj_masks[u].bit_count(), degs[u], -u),
-        )
-        c = 0
-        while (adj_masks[v] >> c) & 1:
-            c += 1
-        color[v] = c
-        bit = 1 << c
-        for u in _bits(rows[v]):
-            if color[u] == -1:
-                adj_masks[u] |= bit
-    return color
-
-
 def chromatic_number(g: Graph) -> ColoringResult:
-    n = g.n
-    rows = g.rows
-    if all(r == 0 for r in rows):
-        return ColoringResult(1, (0,) * n)
-    lower = max(2, _greedy_clique(rows, n))
-    greedy = _dsatur(rows, n)
-    upper = max(greedy) + 1
-    for k in range(lower, upper):
-        witness = k_coloring(g, k)
-        if witness is not None:
-            return ColoringResult(k, witness)
-    return ColoringResult(upper, tuple(greedy))
+    """The least k at which `k_coloring` succeeds, with that colouring."""
+    k = 1
+    while (witness := k_coloring(g, k)) is None:
+        k += 1
+    return ColoringResult(k, witness)

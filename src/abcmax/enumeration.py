@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 from .graphs import Graph, _bits, disjoint_union
 
 MAX_CANONICAL_ORDER = 16
-DEFAULT_ENUMERATION_CAP = 9
+DEFAULT_ENUMERATION_CAP = 8
 LONG_RUN_CAP = 10
 
 
@@ -313,7 +313,7 @@ def check_order(n: int, allow_long: bool) -> None:
     if not 1 <= n <= cap:
         raise ValueError(
             f"enumeration order {n} outside 1..{cap}"
-            + ("" if allow_long else f" (orders up to {LONG_RUN_CAP} need allow_long)")
+            + ("" if allow_long else f" (orders up to {LONG_RUN_CAP} need allow_long / --allow-long)")
         )
 
 

@@ -200,6 +200,15 @@ class _Accum:
             self.runner_up = other.runner_up
 
 
+def _check_scan(n_values: Iterable[int], eps: float, allow_long: bool) -> None:
+    """Reject a bad epsilon or an order above the cap before any work starts;
+    a non-positive epsilon would split exact float ties."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {eps}")
+    for n in n_values:
+        check_order(n, allow_long)
+
+
 def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec], eps: float):
     """Evaluate every constraint cell over a stream; shared per-graph metrics."""
     accums = [_Accum() for _ in constraints]
@@ -207,8 +216,8 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
     vertex_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "vertex_connectivity_eq"]
     chrom_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "chromatic_eq"]
     none_cells = [i for i, c in enumerate(constraints) if c.kind == "none"]
-    chrom_values = sorted({v for _, v in chrom_cells})
-    single_chrom = chrom_values[0] if len(chrom_values) == 1 else None
+    chi_lo = min((v for _, v in chrom_cells), default=None)
+    chi_hi = max((v for _, v in chrom_cells), default=None)
     min_edge_k = min((v for _, v in edge_cells), default=None)
     min_vertex_k = min((v for _, v in vertex_cells), default=None)
 
@@ -223,15 +232,11 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
         if vertex_cells and min_deg >= min_vertex_k:
             kap = vertex_connectivity(g)
             matched.extend(i for i, k in vertex_cells if k == kap)
-        if chrom_cells:
-            if single_chrom is not None:
-                # fixed target colour count: decide rather than compute chi
-                c = single_chrom
-                if is_k_colorable(g, c) and not is_k_colorable(g, c - 1):
-                    matched.extend(i for i, _ in chrom_cells)
-            else:
-                chi = chromatic_number(g).chi
-                matched.extend(i for i, v in chrom_cells if v == chi)
+        # chi lies in lo..hi iff hi colours suffice and lo - 1 do not; then it
+        # is the first colourable k from lo up, so one cell value costs two calls
+        if chrom_cells and is_k_colorable(g, chi_hi) and not is_k_colorable(g, chi_lo - 1):
+            chi = next((k for k in range(chi_lo, chi_hi) if is_k_colorable(g, k)), chi_hi)
+            matched.extend(i for i, v in chrom_cells if v == chi)
         if matched:
             value = abc_index(g)
             g6 = encode_graph6(g)
@@ -261,7 +266,7 @@ def _scan_cells(
     jobs: int,
     allow_long: bool,
 ) -> tuple[list["ExtremalResult"], int]:
-    check_order(n, allow_long)
+    _check_scan([n], eps, allow_long)
     tasks = [(g.rows, n, constraints, eps) for g in connected_graph_list(min(n, SEED_DEPTH))]
     accums = [_Accum() for _ in constraints]
     streamed = 0
@@ -408,8 +413,7 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values, e
                     jobs: int, allow_long: bool) -> tuple[list[dict], int]:
     """Cells of every campaign, campaign-major, from one scan per order.  The
     graphs-scanned count is summed over campaigns, as if each had its own scan."""
-    for n in n_values:
-        check_order(n, allow_long)
+    _check_scan(n_values, epsilon, allow_long)
     cells: list[dict] = []
     graphs_scanned = 0
     for n in n_values:
@@ -602,7 +606,7 @@ def run_full_battery(
     ns = list(range(max(3, n_lo), n_hi + 1))
     if not ns:
         raise ValueError(f"n-range {n_lo}..{n_hi} has no order >= 3 to scan")
-    check_order(n_hi, allow_long)
+    _check_scan([n_hi], epsilon, allow_long)
     # the property runs go first so that their argument errors come before any scan
     properties = verify_monotonicity(trials, 12, seed).cells
     properties += verify_bridge_rewrite(bridge_n_max).cells

@@ -176,12 +176,22 @@ class TestUsage:
         ("vertex-conn", "--n-range", "1..2"),
         ("chromatic", "--n-range", "11..11", "--chi", "3", "--allow-long", "--jobs", "2"),
         ("all", "--n-range", "1..2", "--trials", "10"),
+        ("edge-conn", "--n-range", "6..6", "--epsilon", "0"),
+        ("edge-conn", "--n-range", "6..6", "--epsilon", "-1"),
+        ("edge-conn", "--n-range", "6..6", "--epsilon", "nan"),
+        ("edge-conn", "--n-range", "6..6", "--epsilon", "inf"),
     ])
     def test_bad_selection(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_enumerate_above_cap_needs_flag(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "9", "--connected")
+        assert code == 2
+        assert out == ""
+        assert "allow-long" in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_crash_exits_2_without_report(self, capsys, monkeypatch, tmp_path, jobs):

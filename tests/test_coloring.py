@@ -17,6 +17,14 @@ PETERSEN = Graph.from_edges(10, [
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),          # spokes
 ])
 
+# Mycielskian of C5: triangle-free with chi = 4
+GROTZSCH = Graph.from_edges(11, [
+    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),          # the 5-cycle
+    (5, 1), (5, 4), (6, 0), (6, 2), (7, 1), (7, 3),  # u_i joined to N(v_i)
+    (8, 2), (8, 4), (9, 3), (9, 0),
+    (10, 5), (10, 6), (10, 7), (10, 8), (10, 9),     # apex
+])
+
 
 def brute_chromatic(g: Graph) -> int:
     """Try-all-assignments oracle, vertices in index order, no heuristics."""
@@ -78,8 +86,16 @@ class TestChromaticNumber:
         assert res.chi == 1
         assert_proper(Graph(4), res.witness, 1)
 
-    def test_brute_force_agreement_n_le_6(self):
-        for n in range(2, 7):
+    def test_grotzsch(self):
+        # no triangle, so the clique bound is 2 and the search must refute 3 colours
+        assert all(not GROTZSCH.rows[u] & GROTZSCH.rows[v] for u, v in GROTZSCH.edges())
+        assert not is_k_colorable(GROTZSCH, 3)
+        res = chromatic_number(GROTZSCH)
+        assert res.chi == 4
+        assert_proper(GROTZSCH, res.witness, 4)
+
+    def test_brute_force_agreement_n_le_7(self):
+        for n in range(2, 8):
             for g in connected_graph_list(n):
                 res = chromatic_number(g)
                 assert res.chi == brute_chromatic(g)

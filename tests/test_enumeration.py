@@ -110,7 +110,9 @@ class TestConnectedEnumeration:
         with pytest.raises(ValueError):
             list(connected_graphs(0))
         with pytest.raises(ValueError):
-            next(connected_graphs(10))  # needs allow_long
+            next(connected_graphs(9))  # needs allow_long
+        with pytest.raises(ValueError):
+            next(connected_graphs(10))
         with pytest.raises(ValueError):
             next(connected_graphs(11, allow_long=True))
 

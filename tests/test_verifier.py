@@ -3,12 +3,14 @@ import io
 import math
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
 from abcmax import verifier
 from abcmax.cli import main
-from abcmax.enumeration import are_isomorphic
+from abcmax.coloring import chromatic_number
+from abcmax.enumeration import are_isomorphic, connected_graph_list
 from abcmax.graphs import decode_graph6, kn_k_graph, turan_graph, complete_graph
 from abcmax.verifier import (
     ConstraintSpec,
@@ -221,6 +223,18 @@ class TestAccum:
                 folded.merge(pickle.loads(pickle.dumps(part)), eps)  # as from a pool worker
             assert (folded.scanned, folded.best, sorted(folded.cands), folded.runner_up) == \
                 (whole.scanned, whole.best, sorted(whole.cands), whole.runner_up)
+
+
+class TestChromaticWindow:
+    def test_window_counts_match_chromatic_number(self):
+        for n in range(2, 8):
+            classes = connected_graph_list(n)
+            chis = Counter(chromatic_number(g).chi for g in classes)
+            for window in ({3}, {4, 5}, set(range(2, n + 1)), {n}):
+                cells = [ConstraintSpec("chromatic_eq", v) for v in sorted(window)]
+                accums, streamed = verifier._scan_kernel(classes, cells, 1e-9)
+                assert streamed == len(classes)
+                assert [a.scanned for a in accums] == [chis[c.value] for c in cells]
 
 
 class TestFusedScan:

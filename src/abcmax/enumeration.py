@@ -5,6 +5,10 @@ the adjacency matrix over all vertex orderings (column-major, the graph6
 bit order), found by branch-and-bound with twin skipping.  Two graphs are
 isomorphic iff their forms agree.
 
+Refinement: iterated degree refinement.  Each round refines the partition
+of the round before, so the first round that splits no class is stable and
+its colours are final; refinement returns there.
+
 Generation: one representative per isomorphism class of connected graphs,
 grown one vertex at a time.  A child g+z is kept only when deleting z yields
 the same parent class as deleting the canonically-chosen vertex, so each
@@ -12,6 +16,12 @@ class is produced from exactly one parent and a small per-parent set removes
 the remaining same-parent duplicates; no memory-resident global seen-set is
 needed.  The stream order is a fixed depth-first order, identical across
 runs, and disjoint subtrees can be expanded independently by workers.
+
+Per parent g, the components of g - v are found once for every vertex v:
+z, joined to the subset `sub`, leaves g+z-v connected iff `sub` meets every
+one of them, so no child is searched to test a deletion.  Each candidate
+child is refined at most once; its canonical form, needed only when a
+sibling shares its fingerprint, reuses those colours.
 """
 
 from __future__ import annotations
@@ -25,6 +35,16 @@ from .graphs import Graph, _bits, disjoint_union
 MAX_CANONICAL_ORDER = 16
 DEFAULT_ENUMERATION_CAP = 8
 LONG_RUN_CAP = 10
+
+# row mask -> its set bits; a pure cache, one entry per mask below 2**n seen
+_NEIGHBOURS: dict[int, tuple[int, ...]] = {}
+
+
+def _neighbours(row: int) -> tuple[int, ...]:
+    bits = _NEIGHBOURS.get(row)
+    if bits is None:
+        bits = _NEIGHBOURS[row] = tuple(_bits(row))
+    return bits
 
 
 def _twin_reps(n: int, rows) -> list[int]:
@@ -43,7 +63,7 @@ def _twin_reps(n: int, rows) -> list[int]:
     return rep
 
 
-def _canonical_cols(n: int, rows) -> list[int]:
+def _canonical_cols(n: int, rows, colors=None) -> list[int]:
     """Columns of the minimal relabelled adjacency matrix.
 
     The minimum is taken over orderings consistent with the refinement
@@ -51,11 +71,13 @@ def _canonical_cols(n: int, rows) -> list[int]:
     only vertices within a class permute.  The partition is invariant, so
     isomorphic graphs still get identical columns.  cols[p] holds the
     adjacency bits of the vertex at position p to positions 0..p-1, most
-    significant bit first.
+    significant bit first.  `colors`, if given, is the graph's
+    `_refinement_colors`.
     """
     if n == 1:
         return [0]
-    colors = _refinement_colors(n, rows)
+    if colors is None:
+        colors = _refinement_colors(n, rows)
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
@@ -145,8 +167,8 @@ def _pack_cols(n: int, cols) -> bytes:
     return bytes(out)
 
 
-def _canonical_bytes(n: int, rows) -> bytes:
-    return _pack_cols(n, _canonical_cols(n, rows))
+def _canonical_bytes(n: int, rows, colors=None) -> bytes:
+    return _pack_cols(n, _canonical_cols(n, rows, colors))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -168,37 +190,47 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 def _refinement_colors(n: int, rows) -> list[int]:
     # iterated degree refinement; final ids order vertices by an
-    # isomorphism-invariant key, so they compare consistently across copies
-    colors = [rows[v].bit_count() for v in range(n)]
+    # isomorphism-invariant key, so they compare consistently across copies.
+    # A round's key starts with the old colour, so it refines the old
+    # partition; a round that splits no class has reached the fixed point.
+    nbrs = [_neighbours(row) for row in rows]
+    colors = [len(nb) for nb in nbrs]
+    count = len(set(colors))
     while True:
-        keys = []
-        for v in range(n):
-            sig = sorted(colors[u] for u in _bits(rows[v]))
-            keys.append((colors[v], tuple(sig)))
+        get = colors.__getitem__
+        keys = [(c, tuple(sorted(map(get, nb)))) for c, nb in zip(colors, nbrs)]
         rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if new == colors:
+        colors = [rank[key] for key in keys]
+        if len(rank) == count:
             return colors
-        colors = new
+        count = len(rank)
 
 
-def _connected_without(rows, n: int, skip: int) -> bool:
-    if n <= 2:
-        return True
-    alive = ((1 << n) - 1) ^ (1 << skip)
-    start = 1 if skip == 0 else 0
-    visited = 1 << start
-    frontier = rows[start] & alive
-    while frontier:
-        visited |= frontier
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= rows[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & alive & ~visited
-    return visited == alive
+def _deletion_components(rows, k: int) -> list[list[int]]:
+    """comps[v]: the component vertex masks of the graph minus v."""
+    full = (1 << k) - 1
+    comps = []
+    for v in range(k):
+        alive = full ^ (1 << v)
+        parts = []
+        left = alive
+        while left:
+            seen = frontier = left & -left
+            while frontier:
+                reach = 0
+                for u in _neighbours(frontier):
+                    reach |= rows[u]
+                frontier = reach & alive & ~seen
+                seen |= frontier
+            parts.append(seen)
+            left &= ~seen
+        comps.append(parts)
+    return comps
+
+
+def _reconnects(parts, sub: int) -> bool:
+    # g - v plus z joined to `sub` is connected iff `sub` meets every part
+    return all(c & sub for c in parts)
 
 
 def _delete_vertex(rows, n: int, v: int) -> tuple[int, ...]:
@@ -214,7 +246,7 @@ def _fingerprint(n: int, rows, colors):
     pairs = []
     for u in range(n):
         cu = colors[u]
-        for v in _bits(rows[u] >> (u + 1) << (u + 1)):
+        for v in _neighbours(rows[u] >> (u + 1) << (u + 1)):
             cv = colors[v]
             pairs.append((cu, cv) if cu <= cv else (cv, cu))
     pairs.sort()
@@ -229,19 +261,13 @@ def _children(rows, k: int, parent_cf: list):
     (child_rows, child_canonical_or_None).
     """
     deg_g = [rows[v].bit_count() for v in range(k)]
+    comps = _deletion_components(rows, k)
     z = k
     nh = k + 1
+    zbit = 1 << z
     seen_fps: dict = {}
     for sub in range(1, 1 << k):
         dz = sub.bit_count()
-        hr = list(rows)
-        zbit = 1 << z
-        m = sub
-        while m:
-            low = m & -m
-            hr[low.bit_length() - 1] |= zbit
-            m ^= low
-        hr.append(sub)
 
         # reject if a valid deletion with smaller degree exists
         rejected = False
@@ -249,7 +275,7 @@ def _children(rows, k: int, parent_cf: list):
         for v in range(k):
             dv = deg_g[v] + ((sub >> v) & 1)
             if dv < dz:
-                if _connected_without(hr, nh, v):
+                if _reconnects(comps[v], sub):
                     rejected = True
                     break
             elif dv == dz:
@@ -257,9 +283,13 @@ def _children(rows, k: int, parent_cf: list):
         if rejected:
             continue
 
+        hr = list(rows)
+        for v in _neighbours(sub):
+            hr[v] |= zbit
+        hr.append(sub)
         colors = None
         if ties:
-            ties = [v for v in ties if _connected_without(hr, nh, v)]
+            ties = [v for v in ties if _reconnects(comps[v], sub)]
         if ties:
             colors = _refinement_colors(nh, hr)
             cz = colors[z]
@@ -283,19 +313,20 @@ def _children(rows, k: int, parent_cf: list):
         child_rows = tuple(hr)
         bucket = seen_fps.get(fp)
         if bucket is None:
-            seen_fps[fp] = [[child_rows, None]]
+            # [rows, canonical form once needed, colours to compute it from]
+            seen_fps[fp] = [[child_rows, None, colors]]
             yield child_rows, None
             continue
-        cf_child = _canonical_bytes(nh, child_rows)
+        cf_child = _canonical_bytes(nh, child_rows, colors)
         duplicate = False
         for entry in bucket:
             if entry[1] is None:
-                entry[1] = _canonical_bytes(nh, entry[0])
+                entry[1] = _canonical_bytes(nh, entry[0], entry[2])
             if entry[1] == cf_child:
                 duplicate = True
                 break
         if not duplicate:
-            bucket.append([child_rows, cf_child])
+            bucket.append([child_rows, cf_child, colors])
             yield child_rows, cf_child
 
 
@@ -352,16 +383,27 @@ def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
 
 def all_graphs(n: int, allow_long: bool = False) -> Iterator[Graph]:
     """All graphs on n vertices up to isomorphism, as multisets of
-    connected components (a class is exactly its component multiset)."""
+    connected components (a class is exactly its component multiset).
+
+    The connected graphs, partition (n,), are streamed; the smaller
+    component pools are built when a partition first needs them."""
     check_order(n, allow_long)
-    pools = {size: list(connected_graphs(size, allow_long)) for size in range(1, n + 1)}
-    for partition in _partitions(n, n):
+    yield from connected_graphs(n, allow_long)
+    pools: dict[int, tuple[Graph, ...]] = {}
+
+    def pool(size: int) -> tuple[Graph, ...]:
+        if size not in pools:
+            pools[size] = (connected_graph_list(size) if size <= 8
+                           else tuple(connected_graphs(size, allow_long)))
+        return pools[size]
+
+    for partition in _partitions(n, n - 1):
         sizes = sorted(set(partition), reverse=True)
         choices_per_size = []
         for size in sizes:
             count = partition.count(size)
             choices_per_size.append(
-                list(combinations_with_replacement(pools[size], count))
+                list(combinations_with_replacement(pool(size), count))
             )
         def build(idx: int, acc: Optional[Graph]) -> Iterator[Graph]:
             if idx == len(choices_per_size):

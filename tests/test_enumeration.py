@@ -1,9 +1,15 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
+from abcmax import enumeration
 from abcmax.enumeration import (
+    _deletion_components,
+    _delete_vertex,
+    _reconnects,
+    _refinement_colors,
     all_graphs,
     are_isomorphic,
     canonical_form,
@@ -13,6 +19,7 @@ from abcmax.enumeration import (
 )
 from abcmax.graphs import (
     Graph,
+    _bits,
     bridge_cliques_graph,
     complete_graph,
     disjoint_union,
@@ -41,6 +48,35 @@ def labeled_connected_classes(n: int) -> int:
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def reference_refinement_colors(n: int, rows) -> list[int]:
+    """Degree refinement run until a round reproduces the previous colours."""
+    colors = [rows[v].bit_count() for v in range(n)]
+    while True:
+        keys = []
+        for v in range(n):
+            sig = sorted(colors[u] for u in _bits(rows[v]))
+            keys.append((colors[v], tuple(sig)))
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new = [rank[k] for k in keys]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def random_graph(rng: random.Random) -> Graph:
+    """Any density, sometimes split in two parts, sometimes with isolated vertices."""
+    n = rng.randint(1, 16)
+    p = rng.random()
+    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+    if n > 1 and rng.random() < 0.3:
+        cut = rng.randint(1, n - 1)
+        edges = [(u, v) for u, v in edges if (u < cut) == (v < cut)]
+    if rng.random() < 0.3:
+        isolated = set(rng.sample(range(n), rng.randint(1, n)))
+        edges = [(u, v) for u, v in edges if u not in isolated and v not in isolated]
+    return Graph.from_edges(n, edges)
 
 
 class TestCanonicalForm:
@@ -79,6 +115,36 @@ class TestCanonicalForm:
         assert not are_isomorphic(complete_graph(3), complete_graph(4))
 
 
+class TestRefinement:
+    def test_equals_reference_on_every_class_n_le_7(self):
+        for n in range(1, 8):
+            for g in all_graphs(n):
+                assert _refinement_colors(n, g.rows) == reference_refinement_colors(n, g.rows)
+
+    def test_equals_reference_on_random_graphs(self):
+        rng = random.Random(7)
+        graphs = [random_graph(rng) for _ in range(2000)]
+        assert any(not is_connected(g) for g in graphs)
+        assert any(0 in g.degrees() for g in graphs if g.n > 1)
+        for g in graphs:
+            assert _refinement_colors(g.n, g.rows) == reference_refinement_colors(g.n, g.rows)
+
+
+class TestDeletionComponents:
+    def test_matches_explicit_child(self):
+        for k in range(1, 7):
+            for g in connected_graphs(k):
+                comps = _deletion_components(g.rows, k)
+                for sub in range(1, 1 << k):
+                    child = list(g.rows)
+                    for v in _bits(sub):
+                        child[v] |= 1 << k
+                    child.append(sub)
+                    for v in range(k):
+                        without = Graph(k, _delete_vertex(child, k + 1, v))
+                        assert _reconnects(comps[v], sub) == is_connected(without)
+
+
 class TestConnectedEnumeration:
     def test_counts(self):
         for n, expected in CONNECTED_COUNTS.items():
@@ -100,6 +166,22 @@ class TestConnectedEnumeration:
     def test_all_connected(self):
         for n in range(1, 8):
             assert all(is_connected(g) for g in connected_graphs(n))
+
+    def test_stream_and_forms_pinned(self):
+        # sha256 of the graph6 stream and of its canonical forms, as first
+        # released; a change of representative or of stream order shows here
+        pinned = {
+            7: ("eac9f84090fbe5f63837684df544b70b541b34ed00ba9c65523a3a0a6e5e30c6",
+                "fd2b5a502cbb893fc15f06e65421851fdf764443189163d59541aba8d8ae318b"),
+            8: ("55198a9ff78bdb29f212e08c5a4c150470c2848b5f1900c6180d98f3defc2ab9",
+                "a4af12c48654f320ff5773de36361a9e855b5d26318c4f3c42d49c2302179067"),
+        }
+        for n, (stream, forms) in pinned.items():
+            graphs = connected_graph_list(n)
+            assert hashlib.sha256(
+                "\n".join(encode_graph6(g) for g in graphs).encode()).hexdigest() == stream
+            assert hashlib.sha256(
+                b"\n".join(canonical_form(g) for g in graphs)).hexdigest() == forms
 
     def test_stream_order_is_stable(self):
         first = [encode_graph6(g) for g in connected_graphs(6)]
@@ -148,3 +230,24 @@ class TestAllGraphs:
 
     def test_orders_match(self):
         assert all(g.n == 5 for g in all_graphs(5))
+
+    def test_stream_pinned_n6(self):
+        stream = "\n".join(encode_graph6(g) for g in all_graphs(6))
+        assert hashlib.sha256(stream.encode()).hexdigest() == (
+            "54ae8a89a2605c7c02c3038a729f641af60452af928f2dabbc3aaf673d32728f")
+
+    def test_first_graph_streams(self, monkeypatch):
+        # the connected graphs come first and are not collected beforehand
+        drawn = []
+        streamed = enumeration.connected_graphs
+
+        def counting(n, allow_long=False):
+            for g in streamed(n, allow_long):
+                if n == 7:
+                    drawn.append(g)
+                yield g
+
+        monkeypatch.setattr(enumeration, "connected_graphs", counting)
+        first = next(all_graphs(7))
+        assert len(drawn) == 1
+        assert is_connected(first) and first.n == 7

@@ -1,13 +1,19 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from abcmax import enumeration
 from abcmax.enumeration import (
+    _automorphism_generators,
+    _canonical_bytes,
+    _children,
     _deletion_components,
     _delete_vertex,
+    _fingerprint,
+    _neighbours,
+    _orbit_skips,
     _reconnects,
     _refinement_colors,
     all_graphs,
@@ -63,6 +69,109 @@ def reference_refinement_colors(n: int, rows) -> list[int]:
         if new == colors:
             return colors
         colors = new
+
+
+def reference_children(rows, k: int, parent_cf: list):
+    """`_children` without the orbit skip: every subset is tried."""
+    deg_g = [rows[v].bit_count() for v in range(k)]
+    comps = _deletion_components(rows, k)
+    z = k
+    nh = k + 1
+    zbit = 1 << z
+    seen_fps: dict = {}
+    for sub in range(1, 1 << k):
+        dz = sub.bit_count()
+
+        # reject if a valid deletion with smaller degree exists
+        rejected = False
+        ties = []
+        for v in range(k):
+            dv = deg_g[v] + ((sub >> v) & 1)
+            if dv < dz:
+                if _reconnects(comps[v], sub):
+                    rejected = True
+                    break
+            elif dv == dz:
+                ties.append(v)
+        if rejected:
+            continue
+
+        hr = list(rows)
+        for v in _neighbours(sub):
+            hr[v] |= zbit
+        hr.append(sub)
+        colors = None
+        if ties:
+            ties = [v for v in ties if _reconnects(comps[v], sub)]
+        if ties:
+            colors = _refinement_colors(nh, hr)
+            cz = colors[z]
+            if any(colors[v] < cz for v in ties):
+                continue
+            ties = [v for v in ties if colors[v] == cz]
+        if ties:
+            if parent_cf[0] is None:
+                parent_cf[0] = _canonical_bytes(k, rows)
+            cf_parent = parent_cf[0]
+            if any(
+                _canonical_bytes(k, _delete_vertex(hr, nh, v)) < cf_parent
+                for v in ties
+            ):
+                continue
+
+        # accepted: dedup against same-parent siblings
+        if colors is None:
+            colors = _refinement_colors(nh, hr)
+        fp = _fingerprint(nh, hr, colors)
+        child_rows = tuple(hr)
+        bucket = seen_fps.get(fp)
+        if bucket is None:
+            seen_fps[fp] = [[child_rows, None, colors]]
+            yield child_rows, None
+            continue
+        cf_child = _canonical_bytes(nh, child_rows, colors)
+        duplicate = False
+        for entry in bucket:
+            if entry[1] is None:
+                entry[1] = _canonical_bytes(nh, entry[0], entry[2])
+            if entry[1] == cf_child:
+                duplicate = True
+                break
+        if not duplicate:
+            bucket.append([child_rows, cf_child, colors])
+            yield child_rows, cf_child
+
+
+def generators(g: Graph) -> list[list[int]]:
+    return _automorphism_generators(g.n, g.rows, _refinement_colors(g.n, g.rows))
+
+
+def maps_rows_to_rows(g: Graph, perm) -> bool:
+    image = [0] * g.n
+    for u, row in enumerate(g.rows):
+        image[perm[u]] = sum(1 << perm[v] for v in _bits(row))
+    return tuple(image) == g.rows
+
+
+def subset_image(perm, sub: int) -> int:
+    return sum(1 << perm[v] for v in _bits(sub))
+
+
+def subset_orbits(k: int, perms) -> list[frozenset]:
+    """Orbit of every subset mask under the group the permutations generate."""
+    orbits = []
+    for sub in range(1 << k):
+        orbit = {sub}
+        frontier = [sub]
+        while frontier:
+            s = frontier.pop()
+            for p in perms:
+                t = subset_image(p, s)
+                if t not in orbit:
+                    orbit.add(t)
+                    frontier.append(t)
+        orbits.append(frozenset(orbit))
+    return orbits
 
 
 def random_graph(rng: random.Random) -> Graph:
@@ -143,6 +252,40 @@ class TestDeletionComponents:
                     for v in range(k):
                         without = Graph(k, _delete_vertex(child, k + 1, v))
                         assert _reconnects(comps[v], sub) == is_connected(without)
+
+
+class TestOrbitSkip:
+    def test_generators_are_automorphisms_n_le_7(self):
+        for n in range(1, 8):
+            for g in connected_graph_list(n):
+                for perm in generators(g):
+                    assert sorted(perm) == list(range(n))
+                    assert maps_rows_to_rows(g, perm)
+
+    def test_orbits_equal_brute_force_n_le_6(self):
+        # the generators are complete: they give every orbit of Aut(g) on
+        # vertex subsets, which a missing generator would split
+        for n in range(1, 7):
+            for g in connected_graph_list(n):
+                group = [p for p in permutations(range(n)) if maps_rows_to_rows(g, p)]
+                brute = [frozenset(subset_image(p, sub) for p in group)
+                         for sub in range(1 << n)]
+                gens = generators(g)
+                assert subset_orbits(n, gens) == brute
+                skip = _orbit_skips(n, gens)
+                assert [bool(flag) for flag in skip] == [
+                    sub != min(orbit) for sub, orbit in enumerate(brute)]
+
+    def test_skip_count_at_order_7_parents(self):
+        skipped = sum(sum(_orbit_skips(7, generators(g))) for g in connected_graph_list(7))
+        assert skipped == 41190
+
+    def test_children_equal_reference(self):
+        parents = [g for k in range(1, 7) for g in connected_graph_list(k)]
+        parents += connected_graph_list(7)[::10]
+        for g in parents:
+            assert list(_children(g.rows, g.n, [None])) == list(
+                reference_children(g.rows, g.n, [None]))
 
 
 class TestConnectedEnumeration:

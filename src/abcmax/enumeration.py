@@ -17,17 +17,19 @@ the remaining same-parent duplicates; no memory-resident global seen-set is
 needed.  The stream order is a fixed depth-first order, identical across
 runs, and disjoint subtrees can be expanded independently by workers.
 
-Orbit skip: per parent g, generators of Aut(g) are found once, and a
+Orbit skip: per parent g, the swaps of twin vertices (the ones the
+canonical search already finds) generate a subgroup H of Aut(g), and a
 vertex subset `sub` is tried only when it is the least integer in its
-Aut(g)-orbit.  For an automorphism p with sub < p(sub), p extended by z -> z
+H-orbit.  For an automorphism p with sub < p(sub), p extended by z -> z
 is an isomorphism from g+z on `sub` to g+z on p(sub).  Every acceptance
 test (degrees, deletion connectivity, refinement colours, the canonical
 forms of the deletions) is invariant under it, so the child of p(sub) is
 either rejected with the child of `sub` or dropped as a same-parent
-duplicate, and skipping it leaves the stream byte-identical.  Generators of
-any subgroup would be sound; one wrong permutation would drop classes.  The
-per-parent duplicate set stays: two accepted children from different orbits
-can still be isomorphic, since z's tie vertices may lie in different orbits
+duplicate, and skipping it leaves the stream byte-identical.  Any subgroup
+of Aut(g) is sound; a permutation that is not an automorphism would drop
+classes.  The per-parent duplicate set stays: two accepted children from
+different orbits can still be isomorphic, since H may be smaller than
+Aut(g), and even under Aut(g) z's tie vertices may lie in different orbits
 of the child and still leave isomorphic deletions.
 
 Per parent g, the components of g - v are found once for every vertex v:
@@ -266,90 +268,29 @@ def _fingerprint(n: int, rows, colors):
     return tuple(sorted(colors)), tuple(pairs)
 
 
-def _automorphism_generators(k: int, rows, colors) -> list[list[int]]:
-    """Permutations that generate the automorphism group of the graph.
+def _twin_skips(k: int, rows) -> bytearray:
+    """skip[sub] = 1 when swapping twins of the graph maps the vertex subset
+    `sub` to a smaller integer.
 
-    Levels i = k-2 down to 0: for each w > i of i's colour that the
-    generators so far do not already carry i to, search for one automorphism
-    fixing 0..i-1 and mapping i to w.  Every such w is then in the orbit of
-    i under the generators, so at each level they generate the pointwise
-    stabiliser of 0..i-1 (orbit-stabiliser, as in Schreier-Sims); at level 0
-    that is the whole group.  The search assigns i+1..k-1 in order, each to an
-    unused vertex of its colour with the same adjacency to the vertices
-    already placed.
+    Swapping two twins is an automorphism, and these swaps generate the full
+    symmetric group on every twin class, so the least subset of an orbit
+    holds a prefix of each class in vertex order.  A subset is skipped when
+    it holds a member b of a class but not the member a just before it.
     """
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    perm = list(range(k))
-
-    def place(j: int, used: int) -> bool:
-        if j == k:
-            return True
-        want = 0
-        for v in _neighbours(rows[j] & ((1 << j) - 1)):
-            want |= 1 << perm[v]
-        for x in by_color[colors[j]]:
-            if not (used >> x) & 1 and rows[x] & used == want:
-                perm[j] = x
-                if place(j + 1, used | (1 << x)):
-                    return True
-        return False
-
-    gens: list[list[int]] = []
-    for i in range(k - 2, -1, -1):
-        fixed = (1 << i) - 1
-        low = rows[i] & fixed
-        orbit = {i}
-        for w in by_color[colors[i]]:
-            # place() checks i+1..k-1 only: w must see 0..i-1 as i does
-            if w <= i or w in orbit or rows[w] & fixed != low:
-                continue
-            perm[:] = range(k)
-            perm[i] = w
-            if not place(i + 1, fixed | (1 << w)):
-                continue
-            gens.append(perm[:])
-            frontier = list(orbit)
-            while frontier:
-                u = frontier.pop()
-                for p in gens:
-                    if p[u] not in orbit:
-                        orbit.add(p[u])
-                        frontier.append(p[u])
-    return gens
-
-
-def _orbit_skips(k: int, gens) -> bytearray:
-    """skip[sub] = 1 for every vertex subset that is not the least integer
-    in its orbit under the group the permutations `gens` generate."""
-    size = 1 << k
-    skip = bytearray(size)
-    if not gens:
-        return skip
-    images = []  # per generator: the image of every subset mask
-    for p in gens:
-        image = [0] * size
-        for v in range(k):
-            bit = 1 << v
-            moved = 1 << p[v]
-            for s in range(bit, bit << 1):
-                image[s] = image[s - bit] | moved
-        images.append(image)
-    for sub in range(1, size):
-        if skip[sub]:
+    skip = bytearray(1 << k)
+    last: dict[int, int] = {}
+    for b, r in enumerate(_twin_reps(k, rows)):
+        a = last.get(r)
+        last[r] = b
+        if a is None:
             continue
-        # every other member of an unmarked subset's orbit is larger
-        skip[sub] = 1
-        stack = [sub]
-        while stack:
-            s = stack.pop()
-            for image in images:
-                t = image[s]
-                if not skip[t]:
-                    skip[t] = 1
-                    stack.append(t)
-        skip[sub] = 0
+        rest = (1 << k) - 1 & ~(1 << a | 1 << b)
+        s = rest
+        while True:
+            skip[s | 1 << b] = 1
+            if not s:
+                break
+            s = (s - 1) & rest
     return skip
 
 
@@ -362,7 +303,7 @@ def _children(rows, k: int, parent_cf: list):
     """
     deg_g = [rows[v].bit_count() for v in range(k)]
     comps = _deletion_components(rows, k)
-    skip = _orbit_skips(k, _automorphism_generators(k, rows, _refinement_colors(k, rows)))
+    skip = _twin_skips(k, rows)
     z = k
     nh = k + 1
     zbit = 1 << z

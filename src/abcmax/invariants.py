@@ -28,28 +28,12 @@ def f_abc(a, b) -> float:
 
 
 def _degree_pairs(g: Graph) -> dict[tuple[int, int], int]:
-    """Number of edges uv with {d(u), d(v)} = {a, b}, keyed by (a, b), a <= b.
-
-    The edges are visited one by one, or counted per vertex and degree class
-    with a mask, whichever takes fewer steps: m, or n times the number of
-    distinct degrees.
-    """
+    """Number of edges uv with {d(u), d(v)} = {a, b}, keyed by (a, b), a <= b."""
     deg = [r.bit_count() for r in g.rows]
-    pairs: dict[tuple[int, int], int] = {}
-    if sum(deg) <= 2 * g.n * len(set(deg)):
-        for u, row in enumerate(g.rows):
-            a = deg[u]
-            higher = row >> (u + 1) << (u + 1)
-            while higher:
-                low = higher & -higher
-                b = deg[low.bit_length() - 1]
-                key = (a, b) if a <= b else (b, a)
-                pairs[key] = pairs.get(key, 0) + 1
-                higher ^= low
-        return pairs
     masks: dict[int, int] = {}
     for v, d in enumerate(deg):
         masks[d] = masks.get(d, 0) | 1 << v
+    pairs: dict[tuple[int, int], int] = {}
     for u, row in enumerate(g.rows):
         a = deg[u]
         higher = row >> (u + 1) << (u + 1)

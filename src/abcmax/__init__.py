@@ -38,11 +38,9 @@ from .enumeration import (
 from .graphs import (
     Graph,
     Graph6Error,
-    GraphFamily,
     add_edge,
     bridge_cliques_graph,
     complete_graph,
-    construct,
     cycle_graph,
     decode_graph6,
     disjoint_union,

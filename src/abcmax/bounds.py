@@ -14,16 +14,15 @@ from typing import Callable, NamedTuple, Sequence
 STRICT_GAP_TOL = 1e-12
 
 
-def edge_connectivity_bound(n: int, k: int, strict: bool = False) -> float:
+def edge_connectivity_bound(n: int, k: int) -> float:
     """Largest ABC index over n-vertex connected graphs with edge-connectivity k.
 
     Attained exactly by the graph that joins one vertex to k vertices of
-    K_{n-1}.  The classically proven range is k >= 2; k = 1 evaluates the
-    same formula (its graph is extremal too) unless `strict` demands k >= 2.
+    K_{n-1}.  The range k >= 2 was proven earlier; the paper settles k = 1,
+    where the same formula holds.
     """
-    low = 2 if strict else 1
-    if n < 6 or not low <= k <= n - 2:
-        raise ValueError(f"need n >= 6 and {low} <= k <= n-2, got n={n}, k={k}")
+    if n < 6 or not 1 <= k <= n - 2:
+        raise ValueError(f"need n >= 6 and 1 <= k <= n-2, got n={n}, k={k}")
     return (
         k * math.sqrt((n + k - 3) / (k * (n - 1)))
         + k * (k - 1) / (2 * (n - 1)) * math.sqrt(2 * n - 4)

@@ -18,11 +18,15 @@ from .coloring import chromatic_number
 from .connectivity import edge_connectivity, vertex_connectivity
 from .enumeration import all_graphs, connected_graphs
 from .graphs import (
-    Graph,
-    GraphFamily,
-    construct,
+    bridge_cliques_graph,
+    complete_graph,
+    cycle_graph,
     decode_graph6,
     encode_graph6,
+    kn_k_graph,
+    path_graph,
+    star_graph,
+    turan_graph,
 )
 from .invariants import abc_index
 from .verifier import (
@@ -54,11 +58,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+_FAMILIES = {
+    "complete": lambda a: complete_graph(a.n),
+    "knk": lambda a: kn_k_graph(a.n, a.k),
+    "turan": lambda a: turan_graph(a.n, a.l),
+    "bridge": lambda a: bridge_cliques_graph(a.x, a.y),
+    "cycle": lambda a: cycle_graph(a.n),
+    "path": lambda a: path_graph(a.n),
+    "star": lambda a: star_graph(a.n),
+}
+
+
 def _cmd_construct(args) -> int:
-    kind = {"knk": "kn_k", "bridge": "bridge_cliques"}.get(args.family, args.family)
-    family = GraphFamily(kind=kind, n=args.n, k=args.k, l=args.l, x=args.x, y=args.y)
     try:
-        g = construct(family)
+        g = _FAMILIES[args.family](args)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     print(encode_graph6(g))
@@ -141,14 +154,13 @@ def _cmd_verify(args) -> int:
     if campaign in ("edge-conn", "vertex-conn", "chromatic"):
         value = args.chi if campaign == "chromatic" else args.k
         report = run_campaign(campaign, range(lo, hi + 1), None if value is None else [value],
-                              epsilon=args.epsilon, jobs=jobs, allow_long=args.allow_long)
+                              jobs=jobs, allow_long=args.allow_long)
     elif campaign == "monotonicity":
         report = verify_monotonicity(args.trials, min(hi, 64), args.seed)
     elif campaign == "bridge":
         report = verify_bridge_rewrite(max(hi, 6))
     else:  # all
-        report = run_full_battery(lo, hi, epsilon=args.epsilon, jobs=jobs,
-                                  seed=args.seed, trials=args.trials,
+        report = run_full_battery(lo, hi, jobs=jobs, seed=args.seed, trials=args.trials,
                                   allow_long=args.allow_long)
     payload = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:
@@ -186,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit a named family member as graph6")
     p.add_argument("--family", required=True,
-                   choices=["complete", "knk", "turan", "bridge", "cycle", "path", "star"])
+                   choices=list(_FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
@@ -224,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", default="4..8", help="A..B or a single order")
     p.add_argument("--k", type=int, help="connectivity value (default: all valid)")
     p.add_argument("--chi", type=int, help="chromatic value (default: all valid)")
-    p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker count (default: available parallelism)")
     p.add_argument("--seed", type=int, default=0)

@@ -5,7 +5,11 @@ directly (2 by bipartition) and otherwise backtracks in DSATUR order (most
 coloured-neighbour colours first, then degree; Brelaz, CACM 22, 1979),
 restricting the first fresh vertex to colours 0..(max used + 1), the
 standard symmetry cut; without it order-9 campaigns are not feasible.
-`chromatic_number` is the least k at which that search succeeds.
+A picked vertex with no coloured neighbour starts a component that no
+earlier choice constrains, so it takes colour 0 only, and a failure below
+it is final: the search never retries earlier components, which would make
+it exponential in their number.  `chromatic_number` is the least k at which
+that search succeeds.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .graphs import Graph, _bits
 class ColoringResult:
     chi: int
     witness: tuple[int, ...]
+
+
+class _Uncolourable(Exception):
+    """The components not yet coloured admit no k-colouring."""
 
 
 def _bipartition(rows, n: int) -> Optional[list[int]]:
@@ -77,8 +85,9 @@ def k_coloring(g: Graph, k: int) -> Optional[tuple[int, ...]]:
         v = pick()
         if v == -1:
             return True
-        limit = min(k - 1, used)  # colours 0..used, capped at k-1
         forbidden = adj_masks[v]
+        # colours 0..used, capped at k-1; a fresh component needs colour 0 only
+        limit = min(k - 1, used) if forbidden else 0
         for c in range(limit + 1):
             if (forbidden >> c) & 1:
                 continue
@@ -94,11 +103,15 @@ def k_coloring(g: Graph, k: int) -> Optional[tuple[int, ...]]:
             color[v] = -1
             for u in touched:
                 adj_masks[u] &= ~bit
+        if not forbidden:
+            raise _Uncolourable
         return False
 
-    if assign(0):
-        return tuple(color)
-    return None
+    try:
+        assign(0)
+    except _Uncolourable:
+        return None
+    return tuple(color)
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:

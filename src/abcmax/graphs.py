@@ -9,7 +9,6 @@ argument, so published graphs are safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 MAX_VERTICES = 4096
@@ -92,18 +91,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
-
-
-@dataclass(frozen=True)
-class GraphFamily:
-    """A named parametric family; `construct` turns one into a Graph."""
-
-    kind: str  # complete | kn_k | turan | bridge_cliques | cycle | path | star | empty
-    n: Optional[int] = None
-    k: Optional[int] = None
-    l: Optional[int] = None
-    x: Optional[int] = None
-    y: Optional[int] = None
 
 
 def empty_graph(n: int) -> Graph:
@@ -217,26 +204,6 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(0, v) for v in range(1, n)])
-
-
-_CONSTRUCTORS = {
-    "complete": lambda f: complete_graph(f.n),
-    "empty": lambda f: empty_graph(f.n),
-    "kn_k": lambda f: kn_k_graph(f.n, f.k),
-    "turan": lambda f: turan_graph(f.n, f.l),
-    "bridge_cliques": lambda f: bridge_cliques_graph(f.x, f.y),
-    "cycle": lambda f: cycle_graph(f.n),
-    "path": lambda f: path_graph(f.n),
-    "star": lambda f: star_graph(f.n),
-}
-
-
-def construct(family: GraphFamily) -> Graph:
-    try:
-        builder = _CONSTRUCTORS[family.kind]
-    except KeyError:
-        raise ValueError(f"unknown family kind {family.kind!r}") from None
-    return builder(family)
 
 
 def is_connected(g: Graph) -> bool:

@@ -1,9 +1,10 @@
 """Exhaustive extremal campaigns over the connected-graph streams.
 
-Each (n, constraint) cell scans every connected graph of order n satisfying
-the constraint, tracks the ABC maximum together with everything within
-epsilon of it, re-evaluates the near-tie set at 40 significant decimals, and
-only then declares a unique maximizer or a genuine tie.
+Each (n, constraint) cell, the constraint being lambda = k, kappa = k or
+chi = k, scans every connected graph of order n satisfying the constraint,
+tracks the ABC maximum together with everything within the fixed window
+EPSILON of it, re-evaluates that near-tie set at 40 significant decimals,
+and only then declares a unique maximizer or a genuine tie.
 
 A scan of order n has one path.  Its tasks are the canonical-parent
 subtrees rooted at the cached classes of order min(n, SEED_DEPTH); each
@@ -12,6 +13,7 @@ partial per cell, and the partials are folded into the cells in task order.
 Worker count only decides where the tasks run: in this process, or in a
 fork pool when jobs > 1 and n > SEED_DEPTH.  The fold is an associative,
 commutative reduction, so worker count never changes a result field.
+Each public entry point checks the order cap once, before any work.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from multiprocessing import get_context
 from typing import Iterable, Optional, Sequence
@@ -45,13 +46,12 @@ from .graphs import (
 from .invariants import abc_index, abc_index_decimal
 
 SCHEMA_VERSION = "1"
-DEFAULT_EPSILON = 1e-9
-STRICT_GAP_TOL = 1e-12
+EPSILON = 1e-9  # near-tie window; everything within it is re-checked at TIE_DIGITS
 TIE_DIGITS = 40
 TIE_TOL = Decimal("1e-20")
 SEED_DEPTH = 7  # order of the subtree roots a scan is split into
 
-CONSTRAINT_KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq", "none")
+CONSTRAINT_KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq")
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,7 @@ class ConstraintSpec:
     def __post_init__(self):
         if self.kind not in CONSTRAINT_KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "none":
-            if self.value is not None:
-                raise ValueError("'none' constraint takes no value")
-        elif self.kind == "chromatic_eq":
+        if self.kind == "chromatic_eq":
             if self.value is None or self.value < 2:
                 raise ValueError(f"chromatic constraint needs value >= 2, got {self.value}")
         elif self.value is None or self.value < 1:
@@ -74,15 +71,13 @@ class ConstraintSpec:
 
 def predicted_graph(n: int, c: ConstraintSpec) -> Optional[Graph]:
     """The family member expected to win the cell, when one is defined."""
-    if c.kind == "none":
-        return complete_graph(n)
     if c.kind in ("edge_connectivity_eq", "vertex_connectivity_eq"):
         if 1 <= c.value <= n - 2:
             return kn_k_graph(n, c.value)
         if c.value == n - 1:
             return complete_graph(n)
         return None
-    if c.kind == "chromatic_eq" and 2 <= c.value <= n:
+    if 2 <= c.value <= n:
         return turan_graph(n, c.value)
     return None
 
@@ -110,8 +105,6 @@ def cell_bound(n: int, c: ConstraintSpec):
             return "bipartite_bound", bounds.bipartite_bound(n)
         if n % c.value == 0:
             return "chromatic_bound", bounds.chromatic_bound(n, c.value)
-    elif c.kind == "none" and n >= 2:
-        return "complete_graph_abc", n * math.sqrt(2 * n - 4) / 2
     return None, None
 
 
@@ -157,7 +150,6 @@ _KIND_TO_CAMPAIGN = {
     "edge_connectivity_eq": "edge-conn",
     "vertex_connectivity_eq": "vertex-conn",
     "chromatic_eq": "chromatic",
-    "none": "max",
 }
 
 
@@ -172,50 +164,40 @@ class _Accum:
         self.cands: list[tuple[float, str]] = []
         self.runner_up: Optional[float] = None
 
-    def add(self, value: float, g6: str, eps: float) -> None:
+    def add(self, value: float, g6: str) -> None:
         self.scanned += 1
         if self.best is None or value > self.best:
             self.best = value
             kept = []
             for v, s in self.cands:
-                if v > value - eps:
+                if v > value - EPSILON:
                     kept.append((v, s))
                 elif self.runner_up is None or v > self.runner_up:
                     self.runner_up = v
             self.cands = kept
             self.cands.append((value, g6))
-        elif value > self.best - eps:
+        elif value > self.best - EPSILON:
             self.cands.append((value, g6))
         elif self.runner_up is None or value > self.runner_up:
             self.runner_up = value
 
-    def merge(self, other: "_Accum", eps: float) -> None:
+    def merge(self, other: "_Accum") -> None:
         """Fold in the partial of a disjoint stream, as if its graphs had been
-        added here; its runner-up lies eps below its best, so it stays one."""
+        added here; its runner-up lies EPSILON below its best, so it stays one."""
         scanned = self.scanned + other.scanned
         for v, s in other.cands:
-            self.add(v, s, eps)
+            self.add(v, s)
         self.scanned = scanned
         if other.runner_up is not None and (self.runner_up is None or other.runner_up > self.runner_up):
             self.runner_up = other.runner_up
 
 
-def _check_scan(n_values: Iterable[int], eps: float, allow_long: bool) -> None:
-    """Reject a bad epsilon or an order above the cap before any work starts;
-    a non-positive epsilon would split exact float ties."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"epsilon must be finite and > 0, got {eps}")
-    for n in n_values:
-        check_order(n, allow_long)
-
-
-def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec], eps: float):
+def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec]):
     """Evaluate every constraint cell over a stream; shared per-graph metrics."""
     accums = [_Accum() for _ in constraints]
     edge_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "edge_connectivity_eq"]
     vertex_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "vertex_connectivity_eq"]
     chrom_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "chromatic_eq"]
-    none_cells = [i for i, c in enumerate(constraints) if c.kind == "none"]
     chi_lo = min((v for _, v in chrom_cells), default=None)
     chi_hi = max((v for _, v in chrom_cells), default=None)
     min_edge_k = min((v for _, v in edge_cells), default=None)
@@ -224,7 +206,7 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
     streamed = 0
     for g in graphs:
         streamed += 1
-        matched: list[int] = list(none_cells)
+        matched: list[int] = []
         min_deg = min(r.bit_count() for r in g.rows) if (edge_cells or vertex_cells) else 0
         if edge_cells and min_deg >= min_edge_k:
             lam = edge_connectivity(g)
@@ -241,13 +223,13 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
             value = abc_index(g)
             g6 = encode_graph6(g)
             for i in matched:
-                accums[i].add(value, g6, eps)
+                accums[i].add(value, g6)
     return accums, streamed
 
 
 def _scan_subtree(task):
-    rows, n, constraints, eps = task
-    return _scan_kernel(expand_seed(rows, n), constraints, eps)
+    rows, n, constraints = task
+    return _scan_kernel(expand_seed(rows, n), constraints)
 
 
 def _subtree_partials(tasks: list, jobs: int, pooled: bool):
@@ -260,22 +242,18 @@ def _subtree_partials(tasks: list, jobs: int, pooled: bool):
 
 
 def _scan_cells(
-    n: int,
-    constraints: Sequence[ConstraintSpec],
-    eps: float,
-    jobs: int,
-    allow_long: bool,
+    n: int, constraints: Sequence[ConstraintSpec], jobs: int
 ) -> tuple[list["ExtremalResult"], int]:
-    _check_scan([n], eps, allow_long)
-    tasks = [(g.rows, n, constraints, eps) for g in connected_graph_list(min(n, SEED_DEPTH))]
+    """Every cell of order n from one scan; the caller has checked the order cap."""
+    tasks = [(g.rows, n, constraints) for g in connected_graph_list(min(n, SEED_DEPTH))]
     accums = [_Accum() for _ in constraints]
     streamed = 0
     # fold each subtree's partials in as it arrives rather than holding them all
     for parts, count in _subtree_partials(tasks, jobs, jobs > 1 and n > SEED_DEPTH):
         streamed += count
         for a, p in zip(accums, parts):
-            a.merge(p, eps)
-    results = [_finalize_cell(n, c, a, eps) for c, a in zip(constraints, accums)]
+            a.merge(p)
+    results = [_finalize_cell(n, c, a) for c, a in zip(constraints, accums)]
     return results, streamed
 
 
@@ -284,12 +262,10 @@ def _reverify(g: Graph, c: ConstraintSpec) -> bool:
         return edge_connectivity(g) == c.value
     if c.kind == "vertex_connectivity_eq":
         return vertex_connectivity(g) == c.value
-    if c.kind == "chromatic_eq":
-        return chromatic_number(g).chi == c.value
-    return is_connected(g)
+    return chromatic_number(g).chi == c.value
 
 
-def _finalize_cell(n: int, c: ConstraintSpec, accum: _Accum, eps: float) -> ExtremalResult:
+def _finalize_cell(n: int, c: ConstraintSpec, accum: _Accum) -> ExtremalResult:
     klass = cell_class(n, c)
     bname, bval = cell_bound(n, c)
     pred = predicted_graph(n, c)
@@ -328,12 +304,12 @@ def _finalize_cell(n: int, c: ConstraintSpec, accum: _Accum, eps: float) -> Extr
 def find_maximizer(
     n: int,
     constraint: ConstraintSpec,
-    epsilon: float = DEFAULT_EPSILON,
     jobs: int = 1,
     allow_long: bool = False,
 ) -> ExtremalResult:
     """Scan one (n, constraint) cell exhaustively."""
-    results, _ = _scan_cells(n, [constraint], epsilon, jobs, allow_long)
+    check_order(n, allow_long)
+    results, _ = _scan_cells(n, [constraint], jobs)
     return results[0]
 
 
@@ -395,9 +371,7 @@ class Report:
 _CAMPAIGN_TO_KIND = {campaign: kind for kind, campaign in _KIND_TO_CAMPAIGN.items()}
 
 
-def _campaign_values(campaign: str, n: int, values) -> list[Optional[int]]:
-    if campaign == "max":
-        return [None]
+def _campaign_values(campaign: str, n: int, values) -> list[int]:
     if values is not None:
         vals = list(values)
     elif campaign == "chromatic":
@@ -409,11 +383,11 @@ def _campaign_values(campaign: str, n: int, values) -> list[Optional[int]]:
     return [v for v in vals if 1 <= v <= n - 1]
 
 
-def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values, epsilon: float,
-                    jobs: int, allow_long: bool) -> tuple[list[dict], int]:
+def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
+                    jobs: int) -> tuple[list[dict], int]:
     """Cells of every campaign, campaign-major, from one scan per order.  The
-    graphs-scanned count is summed over campaigns, as if each had its own scan."""
-    _check_scan(n_values, epsilon, allow_long)
+    graphs-scanned count is summed over campaigns, as if each had its own scan.
+    The caller has checked the order cap."""
     cells: list[dict] = []
     graphs_scanned = 0
     for n in n_values:
@@ -424,7 +398,7 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values, e
         ]
         if not constraints:
             continue
-        results, streamed = _scan_cells(n, constraints, epsilon, jobs, allow_long)
+        results, streamed = _scan_cells(n, constraints, jobs)
         graphs_scanned += streamed * len({c.kind for c in constraints})
         cells.extend(r.to_dict() for r in results)
     cells.sort(key=lambda cell: campaigns.index(cell["campaign"]))
@@ -436,7 +410,6 @@ def run_campaign(
     n_values: Iterable[int],
     values: Optional[Iterable[int]] = None,
     *,
-    epsilon: float = DEFAULT_EPSILON,
     jobs: int = 1,
     allow_long: bool = False,
 ) -> Report:
@@ -449,8 +422,9 @@ def run_campaign(
     t0 = time.monotonic()
     value_list = list(values) if values is not None else None
     ns = sorted(set(n_values))
-    cells, graphs_scanned = _scan_campaigns(
-        (campaign,), ns, value_list, epsilon, jobs, allow_long)
+    for n in ns:
+        check_order(n, allow_long)
+    cells, graphs_scanned = _scan_campaigns((campaign,), ns, value_list, jobs)
     if not cells:
         selection = "" if value_list is None else f" for value(s) {value_list}"
         raise ValueError(f"no order in {ns} admits {campaign} cells{selection}")
@@ -458,7 +432,7 @@ def run_campaign(
         "campaign": campaign,
         "n_values": ns,
         "values": value_list,
-        "epsilon": epsilon,
+        "epsilon": EPSILON,
         "jobs": jobs,
         "allow_long": allow_long,
     }
@@ -518,7 +492,7 @@ def verify_monotonicity(trials: int, n_max: int, seed: int) -> Report:
         if min_gain is None or gain < min_gain:
             min_gain = gain
             min_witness = {"g6": encode_graph6(g), "u": u, "v": v, "gain": gain}
-        if gain <= STRICT_GAP_TOL:
+        if gain <= bounds.STRICT_GAP_TOL:
             violations.append({"g6": encode_graph6(g), "u": u, "v": v, "gain": gain})
     cell = {
         "campaign": "monotonicity",
@@ -559,7 +533,7 @@ def verify_bridge_rewrite(n_max: int) -> Report:
         for x in range(2, n // 2 + 1):
             gain = bridge_abc(x - 1, n - x + 1) - bridge_abc(x, n - x)
             gains.append(gain)
-            if gain <= STRICT_GAP_TOL:
+            if gain <= bounds.STRICT_GAP_TOL:
                 violations.append({"n": n, "x": x, "gain": gain})
         chain_end = bridge_cliques_graph(1, n - 1)
         if n <= 12:
@@ -593,7 +567,6 @@ def run_full_battery(
     n_lo: int,
     n_hi: int,
     *,
-    epsilon: float = DEFAULT_EPSILON,
     jobs: int = 1,
     seed: int = 0,
     trials: int = 10000,
@@ -606,17 +579,17 @@ def run_full_battery(
     ns = list(range(max(3, n_lo), n_hi + 1))
     if not ns:
         raise ValueError(f"n-range {n_lo}..{n_hi} has no order >= 3 to scan")
-    _check_scan([n_hi], epsilon, allow_long)
+    check_order(n_hi, allow_long)
     # the property runs go first so that their argument errors come before any scan
     properties = verify_monotonicity(trials, 12, seed).cells
     properties += verify_bridge_rewrite(bridge_n_max).cells
     cells, graphs_scanned = _scan_campaigns(
-        ("edge-conn", "vertex-conn", "chromatic"), ns, None, epsilon, jobs, allow_long)
+        ("edge-conn", "vertex-conn", "chromatic"), ns, None, jobs)
     cells += properties
     params = {
         "campaign": "all",
         "n_range": [n_lo, n_hi],
-        "epsilon": epsilon,
+        "epsilon": EPSILON,
         "jobs": jobs,
         "seed": seed,
         "trials": trials,

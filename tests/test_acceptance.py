@@ -1,9 +1,9 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
-criterion.  The heavy fixtures (full campaign scans, the order-9 chromatic
-cell) are shared module-wide, so the whole file stays a few minutes even
-single-worker.
+criterion.  The heavy fixtures (one fused scan of orders 4..8, the
+order-9 chromatic cell) are shared module-wide, so the whole file stays a
+few minutes even single-worker.
 """
 
 import math
@@ -29,6 +29,7 @@ from abcmax.graphs import decode_graph6, encode_graph6, kn_k_graph, turan_graph
 from abcmax.invariants import abc_index
 from abcmax.verifier import (
     run_campaign,
+    run_full_battery,
     verify_bridge_rewrite,
     verify_monotonicity,
 )
@@ -42,18 +43,24 @@ def record(ok: bool, line: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def edge_report():
-    return run_campaign("edge-conn", range(4, 9), jobs=JOBS)
+def battery_cells():
+    # one fused scan per order; its cells equal the separate campaigns' (TestFusedScan)
+    return run_full_battery(4, 8, jobs=JOBS, trials=1, bridge_n_max=6).cells
 
 
 @pytest.fixture(scope="module")
-def vertex_report():
-    return run_campaign("vertex-conn", range(5, 9), jobs=JOBS)
+def edge_cells(battery_cells):
+    return [c for c in battery_cells if c["campaign"] == "edge-conn"]
 
 
 @pytest.fixture(scope="module")
-def chromatic_report():
-    return run_campaign("chromatic", range(4, 9), jobs=JOBS)
+def vertex_cells(battery_cells):
+    return [c for c in battery_cells if c["campaign"] == "vertex-conn"]
+
+
+@pytest.fixture(scope="module")
+def chromatic_cells(battery_cells):
+    return [c for c in battery_cells if c["campaign"] == "chromatic"]
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +69,8 @@ def chromatic9_cell():
     return rep.cells[0]
 
 
-def cell_for(report, n, value):
-    for cell in report.cells:
+def cell_for(cells, n, value):
+    for cell in cells:
         if cell["n"] == n and cell["value"] == value:
             return cell
     raise AssertionError(f"missing cell n={n} value={value}")
@@ -90,62 +97,62 @@ def test_criterion_1_closed_form_agreement():
            f"criterion 1: closed-form/graph agreement, worst gap {worst:.3e}, {elapsed:.1f}s")
 
 
-def test_criterion_2_edge_connectivity_one(edge_report):
+def test_criterion_2_edge_connectivity_one(edge_cells):
     ok = True
     for n in range(4, 9):
-        cell = cell_for(edge_report, n, 1)
+        cell = cell_for(edge_cells, n, 1)
         ok &= cell["matches"] is True
         ok &= cell["runner_up_gap"] is not None and cell["runner_up_gap"] > 1e-9
         ok &= cell["reverified"] is True
     record(ok, "criterion 2: lambda=1 maximizer is K_n(1) with gap > 1e-9, n=4..8")
 
 
-def test_criterion_3_edge_connectivity_k(edge_report):
+def test_criterion_3_edge_connectivity_k(edge_cells):
     ok = True
     for n in range(6, 9):
         for k in range(2, n - 1):
-            cell = cell_for(edge_report, n, k)
+            cell = cell_for(edge_cells, n, k)
             ok &= cell["matches"] is True
             ok &= abs(cell["max_value"] - cell["bound"]) <= 1e-9
             ok &= gap_ok(cell)
     # no cell with a closed-form cap may exceed it
-    for cell in edge_report.cells:
+    for cell in edge_cells:
         if cell["bound"] is not None and cell["max_value"] is not None:
             ok &= cell["max_value"] <= cell["bound"] + 1e-9
     record(ok, "criterion 3: lambda=k maximizer is K_n(k) at the closed-form value, n=6..8")
 
 
-def test_criterion_4_vertex_connectivity(vertex_report):
+def test_criterion_4_vertex_connectivity(vertex_cells):
     ok = True
     for n in range(5, 9):
         for k in range(1, n - 1):
-            cell = cell_for(vertex_report, n, k)
+            cell = cell_for(vertex_cells, n, k)
             ok &= cell["matches"] is True
             ok &= gap_ok(cell)
     record(ok, "criterion 4: kappa=k maximizer is K_n(k), n=5..8, k=1..n-2")
 
 
-def test_criterion_5_chromatic_maximizers(chromatic_report, chromatic9_cell):
+def test_criterion_5_chromatic_maximizers(chromatic_cells, chromatic9_cell):
     ok = True
     for n in range(4, 9):
-        cell = cell_for(chromatic_report, n, 2)
+        cell = cell_for(chromatic_cells, n, 2)
         ok &= cell["matches"] is True
         ok &= gap_ok(cell)
-    cell63 = cell_for(chromatic_report, 6, 3)
+    cell63 = cell_for(chromatic_cells, 6, 3)
     ok &= cell63["matches"] is True
     ok &= chromatic9_cell["matches"] is True
     ok &= abs(chromatic9_cell["max_value"] - chromatic_bound(9, 3)) <= 1e-9
-    for cell in chromatic_report.cells:
+    for cell in chromatic_cells:
         if cell["bound"] is not None and cell["max_value"] is not None:
             ok &= cell["max_value"] <= cell["bound"] + 1e-9
     record(ok, "criterion 5: chi=2 maximizer is T_n2 (n=4..8); chi=3 gives T_63 and T_93")
 
 
-def test_criterion_6_open_chromatic_cells(chromatic_report):
+def test_criterion_6_open_chromatic_cells(chromatic_cells):
     lines = []
     ok = True
     for n in (7, 8):
-        cell = cell_for(chromatic_report, n, 3)
+        cell = cell_for(chromatic_cells, n, 3)
         ok &= cell["cell_class"] == "evidence"
         ok &= cell["verdict"] in ("confirmed", "refuted")
         ok &= len(cell["maximizers"]) >= 1

@@ -45,11 +45,6 @@ class TestEdgeConnectivityBound:
         with pytest.raises(ValueError):
             edge_connectivity_bound(6, 0)
 
-    def test_strict_mode_rejects_k1(self):
-        edge_connectivity_bound(6, 1)
-        with pytest.raises(ValueError):
-            edge_connectivity_bound(6, 1, strict=True)
-
 
 class TestBipartiteBound:
     def test_frozen_values(self):

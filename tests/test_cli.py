@@ -4,7 +4,16 @@ import json
 import pytest
 
 from abcmax.cli import main
-from abcmax.graphs import decode_graph6, kn_k_graph
+from abcmax.graphs import (
+    bridge_cliques_graph,
+    complete_graph,
+    cycle_graph,
+    decode_graph6,
+    kn_k_graph,
+    path_graph,
+    star_graph,
+    turan_graph,
+)
 from abcmax.verifier import Report
 
 
@@ -21,17 +30,18 @@ class TestConstruct:
         assert decode_graph6(out.strip()) == kn_k_graph(6, 3)
 
     def test_each_family(self, capsys):
-        for argv in (
-            ["construct", "--family", "complete", "--n", "5"],
-            ["construct", "--family", "turan", "--n", "6", "--l", "3"],
-            ["construct", "--family", "bridge", "--x", "2", "--y", "3"],
-            ["construct", "--family", "cycle", "--n", "5"],
-            ["construct", "--family", "path", "--n", "4"],
-            ["construct", "--family", "star", "--n", "5"],
+        for argv, expected in (
+            (["--family", "complete", "--n", "5"], complete_graph(5)),
+            (["--family", "knk", "--n", "7", "--k", "2"], kn_k_graph(7, 2)),
+            (["--family", "turan", "--n", "6", "--l", "3"], turan_graph(6, 3)),
+            (["--family", "bridge", "--x", "2", "--y", "3"], bridge_cliques_graph(2, 3)),
+            (["--family", "cycle", "--n", "5"], cycle_graph(5)),
+            (["--family", "path", "--n", "4"], path_graph(4)),
+            (["--family", "star", "--n", "5"], star_graph(5)),
         ):
-            code, out, _ = run_cli(capsys, *argv)
+            code, out, _ = run_cli(capsys, "construct", *argv)
             assert code == 0
-            decode_graph6(out.strip())
+            assert decode_graph6(out.strip()) == expected
 
     def test_bad_parameters_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--family", "turan", "--n", "5", "--l", "9")
@@ -176,10 +186,6 @@ class TestUsage:
         ("vertex-conn", "--n-range", "1..2"),
         ("chromatic", "--n-range", "11..11", "--chi", "3", "--allow-long", "--jobs", "2"),
         ("all", "--n-range", "1..2", "--trials", "10"),
-        ("edge-conn", "--n-range", "6..6", "--epsilon", "0"),
-        ("edge-conn", "--n-range", "6..6", "--epsilon", "-1"),
-        ("edge-conn", "--n-range", "6..6", "--epsilon", "nan"),
-        ("edge-conn", "--n-range", "6..6", "--epsilon", "inf"),
     ])
     def test_bad_selection(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)

@@ -1,11 +1,13 @@
 import pytest
 
+from abcmax import coloring
 from abcmax.coloring import chromatic_number, is_k_colorable, k_coloring
-from abcmax.enumeration import connected_graph_list
+from abcmax.enumeration import all_graphs, connected_graph_list
 from abcmax.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     path_graph,
     star_graph,
     turan_graph,
@@ -100,6 +102,37 @@ class TestChromaticNumber:
                 res = chromatic_number(g)
                 assert res.chi == brute_chromatic(g)
                 assert_proper(g, res.witness, res.chi)
+
+    def test_brute_force_agreement_all_graphs_n_le_7(self):
+        # disconnected classes too: each component after the first starts fresh
+        graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+        assert len(graphs) == 1252
+        for g in graphs:
+            res = chromatic_number(g)
+            assert res.chi == brute_chromatic(g)
+            assert_proper(g, res.witness, res.chi)
+
+    def test_failure_in_a_component_is_final(self, monkeypatch):
+        # ten stars, then a K_4 that 3 colours cannot cover: the search must not
+        # retry the stars' colourings, so its work stays linear in the order
+        g = star_graph(5)
+        for _ in range(9):
+            g = disjoint_union(g, star_graph(5))
+        g = disjoint_union(g, complete_graph(4))
+        calls = 0
+        real_bits = coloring._bits
+
+        def counting_bits(mask):
+            nonlocal calls
+            calls += 1
+            assert calls <= 10 * g.n, "search retried earlier components"
+            return real_bits(mask)
+
+        monkeypatch.setattr(coloring, "_bits", counting_bits)
+        assert k_coloring(g, 3) is None
+        res = chromatic_number(g)
+        assert res.chi == 4
+        assert_proper(g, res.witness, 4)
 
     def test_turan_chi_equals_parts(self):
         for n in range(1, 31):

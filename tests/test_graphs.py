@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from abcmax.graphs import (
     Graph,
     Graph6Error,
-    GraphFamily,
     add_edge,
     bridge_cliques_graph,
     complete_graph,
-    construct,
     cycle_graph,
     decode_graph6,
     disjoint_union,
@@ -167,15 +165,6 @@ class TestFamilies:
         assert sorted(star_graph(6).degrees()) == [1] * 5 + [5]
         with pytest.raises(ValueError):
             cycle_graph(2)
-
-    def test_construct_dispatch(self):
-        assert construct(GraphFamily("complete", n=4)) == complete_graph(4)
-        assert construct(GraphFamily("kn_k", n=6, k=3)) == kn_k_graph(6, 3)
-        assert construct(GraphFamily("turan", n=6, l=3)) == turan_graph(6, 3)
-        assert construct(GraphFamily("bridge_cliques", x=2, y=3)) == bridge_cliques_graph(2, 3)
-        assert construct(GraphFamily("empty", n=3)) == empty_graph(3)
-        with pytest.raises(ValueError):
-            construct(GraphFamily("petersen", n=10))
 
     def test_is_connected(self):
         assert is_connected(complete_graph(1))

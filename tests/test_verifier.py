@@ -28,22 +28,24 @@ from abcmax.verifier import (
 class TestConstraintSpec:
     def test_validation(self):
         ConstraintSpec("edge_connectivity_eq", 1)
-        ConstraintSpec("none")
+        ConstraintSpec("chromatic_eq", 2)
         with pytest.raises(ValueError):
             ConstraintSpec("edge_connectivity_eq", 0)
         with pytest.raises(ValueError):
+            ConstraintSpec("vertex_connectivity_eq", None)
+        with pytest.raises(ValueError):
             ConstraintSpec("chromatic_eq", 1)
-        with pytest.raises(ValueError):
-            ConstraintSpec("none", 3)
-        with pytest.raises(ValueError):
-            ConstraintSpec("girth_eq", 3)
+        for kind in ("none", "girth_eq"):
+            with pytest.raises(ValueError):
+                ConstraintSpec(kind, 3)
 
     def test_predictions(self):
         assert are_isomorphic(
             predicted_graph(6, ConstraintSpec("edge_connectivity_eq", 3)), kn_k_graph(6, 3))
         assert predicted_graph(6, ConstraintSpec("edge_connectivity_eq", 5)) == complete_graph(6)
         assert predicted_graph(6, ConstraintSpec("chromatic_eq", 3)) == turan_graph(6, 3)
-        assert predicted_graph(6, ConstraintSpec("none")) == complete_graph(6)
+        assert predicted_graph(6, ConstraintSpec("edge_connectivity_eq", 6)) is None
+        assert predicted_graph(6, ConstraintSpec("chromatic_eq", 7)) is None
 
     def test_cell_classes(self):
         assert cell_class(5, ConstraintSpec("edge_connectivity_eq", 1)) == "must-match"
@@ -79,10 +81,12 @@ class TestFindMaximizer:
         assert are_isomorphic(decode_graph6(r.maximizers[0]), turan_graph(6, 3))
 
     def test_n6_unconstrained_is_complete(self):
-        r = find_maximizer(6, ConstraintSpec("none"))
-        assert r.scanned == 112
-        assert r.matches is True
-        assert are_isomorphic(decode_graph6(r.maximizers[0]), complete_graph(6))
+        # the chromatic cells partition the connected class; the best of them is K_6
+        cells = [find_maximizer(6, ConstraintSpec("chromatic_eq", v)) for v in range(2, 7)]
+        assert sum(r.scanned for r in cells) == 112
+        best = max(cells, key=lambda r: r.max_value)
+        assert best.constraint.value == 6 and best.matches is True
+        assert are_isomorphic(decode_graph6(best.maximizers[0]), complete_graph(6))
 
     def test_unsatisfiable_cell_reports_empty(self):
         # no connected graph on 4 vertices has chromatic number... they all have
@@ -205,22 +209,22 @@ class TestReports:
 
 
 class TestAccum:
-    def test_folded_partials_equal_one_stream(self):
+    def test_folded_partials_equal_one_stream(self, monkeypatch):
+        monkeypatch.setattr(verifier, "EPSILON", 0.5)  # a wide window keeps many near-ties
         rng = random.Random(5)
-        eps = 0.5
         for _ in range(300):
             items = [(rng.choice([rng.uniform(0, 3), float(rng.randint(0, 3))]), f"g{i}")
                      for i in range(rng.randint(0, 12))]
             whole = verifier._Accum()
             for v, s in items:
-                whole.add(v, s, eps)
+                whole.add(v, s)
             cuts = sorted(rng.choices(range(len(items) + 1), k=3))
             folded = verifier._Accum()
             for lo, hi in zip([0] + cuts, cuts + [len(items)]):
                 part = verifier._Accum()
                 for v, s in items[lo:hi]:
-                    part.add(v, s, eps)
-                folded.merge(pickle.loads(pickle.dumps(part)), eps)  # as from a pool worker
+                    part.add(v, s)
+                folded.merge(pickle.loads(pickle.dumps(part)))  # as from a pool worker
             assert (folded.scanned, folded.best, sorted(folded.cands), folded.runner_up) == \
                 (whole.scanned, whole.best, sorted(whole.cands), whole.runner_up)
 
@@ -232,7 +236,7 @@ class TestChromaticWindow:
             chis = Counter(chromatic_number(g).chi for g in classes)
             for window in ({3}, {4, 5}, set(range(2, n + 1)), {n}):
                 cells = [ConstraintSpec("chromatic_eq", v) for v in sorted(window)]
-                accums, streamed = verifier._scan_kernel(classes, cells, 1e-9)
+                accums, streamed = verifier._scan_kernel(classes, cells)
                 assert streamed == len(classes)
                 assert [a.scanned for a in accums] == [chis[c.value] for c in cells]
 

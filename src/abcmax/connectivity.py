@@ -9,6 +9,24 @@ v_out -> u_in and u_out -> v_in, so a minimum cut can only cross in -> out
 arcs, i.e. vertices.  The residual reach set of the call that sets the
 minimum is the source side of a minimum cut, which gives the witnesses.
 
+Three rules, each sound for any graph, keep the flow calls few (after Even,
+SIAM J. Comput. 4, 1975, and Esfahanian & Hakimi, Networks 14, 1984):
+
+- Both caps start at the minimum degree delta.  The star of a minimum-degree
+  vertex v is an edge cut, and for a non-complete graph N(v) is a vertex cut,
+  because v has a non-neighbour.  When no flow beats delta, these are the
+  witnesses.
+- kappa takes sources v_0, v_1, ... only while the source index is below the
+  current best, and targets t > s not adjacent to s.  A minimum cut S with
+  |S| = kappa < best misses one of v_0..v_{best-1}; let v_s be the first.
+  v_0..v_{s-1} all lie in S, so every vertex on the far side of S from v_s
+  has an index above s, and the pair (s, t) is tried.
+- A pair is skipped when a lower bound on its local connectivity already
+  reaches best, as it cannot lower the minimum: for non-adjacent s, t the
+  common neighbours give |N(s) & N(t)| internally disjoint paths, and for
+  lambda's pairs (0, t) the common neighbours and the edge 0t give
+  |N(0) & N(t)| + [0t in E] edge-disjoint paths.
+
 Disconnected graphs return 0 (campaign filters rely on the value rather than
 an error), and complete graphs use the n-1 convention for vertex
 connectivity.
@@ -80,14 +98,17 @@ def _edge_cut(g: Graph) -> tuple[int, int]:
     n = g.n
     if n == 1 or not is_connected(g):
         return 0, 0
+    rows = g.rows
     # lambda <= min degree, witnessed by the star of a minimum-degree vertex
-    best, v = min((r.bit_count(), v) for v, r in enumerate(g.rows))
+    best, v = min((r.bit_count(), v) for v, r in enumerate(rows))
     best_reach = 1 << v
     free = (0,) * n
     for t in range(1, n):
         if best == 1:
             break
-        flow, reach = _augment(g.rows, free, 0, t, best)
+        if (rows[0] & rows[t]).bit_count() + ((rows[0] >> t) & 1) >= best:
+            continue
+        flow, reach = _augment(rows, free, 0, t, best)
         if flow < best:
             best, best_reach = flow, reach
     return best, best_reach
@@ -98,21 +119,33 @@ def _vertex_cut(g: Graph) -> tuple[int, Optional[int]]:
     n = g.n
     if n == 1 or not is_connected(g):
         return 0, None
+    rows = g.rows
+    best, v = min((r.bit_count(), v) for v, r in enumerate(rows))
+    if best == n - 1:
+        return best, None  # complete graphs have no non-adjacent pair
+    # kappa <= min degree, witnessed by N(v): reach holds v_in, v_out and the
+    # in-nodes of v's neighbours, so exactly the arcs u_in -> u_out cross
+    best_reach = 3 << (2 * v)
+    for u in _bits(rows[v]):
+        best_reach |= 1 << (2 * u)
     unit = [0] * (2 * n)
     free = [0] * (2 * n)
     for v in range(n):
         unit[2 * v] = 1 << (2 * v + 1)
-        for u in _bits(g.rows[v]):
+        for u in _bits(rows[v]):
             free[2 * v + 1] |= 1 << (2 * u)
     full = (1 << n) - 1
-    best, best_reach = n - 1, None  # complete graphs have no non-adjacent pair
-    for s in range(n):
-        for t in _bits(full & ~g.rows[s] & ~((1 << (s + 1)) - 1)):
+    s = 0
+    while s < best and best > 1:  # kappa >= 1, so best == 1 is final
+        for t in _bits(full & ~rows[s] & ~((1 << (s + 1)) - 1)):
+            if (rows[s] & rows[t]).bit_count() >= best:
+                continue
             flow, reach = _augment(unit, free, 2 * s + 1, 2 * t, best)
             if flow < best:
                 best, best_reach = flow, reach
                 if best == 1:
-                    return best, best_reach
+                    break
+        s += 1
     return best, best_reach
 
 

@@ -186,6 +186,8 @@ class TestUsage:
         ("vertex-conn", "--n-range", "1..2"),
         ("chromatic", "--n-range", "11..11", "--chi", "3", "--allow-long", "--jobs", "2"),
         ("all", "--n-range", "1..2", "--trials", "10"),
+        ("bridge", "--n-range", "3..4"),
+        ("monotonicity", "--n-range", "3..100", "--trials", "10"),
     ])
     def test_bad_selection(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from abcmax.connectivity import (
 from abcmax.enumeration import connected_graph_list
 from abcmax.graphs import (
     Graph,
+    _bits,
     bridge_cliques_graph,
     complete_graph,
     cycle_graph,
@@ -18,6 +20,7 @@ from abcmax.graphs import (
     is_connected,
     kn_k_graph,
     path_graph,
+    turan_graph,
 )
 
 
@@ -60,6 +63,71 @@ def brute_vertex_connectivity(g: Graph) -> int:
             if not is_connected(without_vertices(g, subset)):
                 return size
     return n - 1
+
+
+def reference_edge_cut(g: Graph) -> int:
+    """lambda from a flow 0 -> t for every t, capped at the minimum degree."""
+    n = g.n
+    if n == 1 or not is_connected(g):
+        return 0
+    best = min(r.bit_count() for r in g.rows)
+    free = (0,) * n
+    for t in range(1, n):
+        if best == 1:
+            break
+        best = min(best, connectivity._augment(g.rows, free, 0, t, best)[0])
+    return best
+
+
+def reference_vertex_cut(g: Graph) -> int:
+    """kappa from a split-graph flow for every non-adjacent pair, capped at n-1."""
+    n = g.n
+    if n == 1 or not is_connected(g):
+        return 0
+    unit = [0] * (2 * n)
+    free = [0] * (2 * n)
+    for v in range(n):
+        unit[2 * v] = 1 << (2 * v + 1)
+        for u in _bits(g.rows[v]):
+            free[2 * v + 1] |= 1 << (2 * u)
+    full = (1 << n) - 1
+    best = n - 1
+    for s in range(n):
+        for t in _bits(full & ~g.rows[s] & ~((1 << (s + 1)) - 1)):
+            best = min(best, connectivity._augment(unit, free, 2 * s + 1, 2 * t, best)[0])
+            if best == 1:
+                return best
+    return best
+
+
+@pytest.fixture(scope="module")
+def random_graphs():
+    """2 000 seeded connected graphs, 2 <= n <= 16, edge densities 0.15..0.95."""
+    rng = random.Random(10)
+    graphs = []
+    while len(graphs) < 2000:
+        n = rng.randint(2, 16)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7, 0.85, 0.95))
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        if is_connected(g):
+            graphs.append(g)
+    return graphs
+
+
+@pytest.fixture
+def augment_calls(monkeypatch):
+    """The argument tuples of every `_augment` call made during the test."""
+    calls = []
+    real_augment = connectivity._augment
+
+    def counting_augment(*args):
+        calls.append(args)
+        return real_augment(*args)
+
+    monkeypatch.setattr(connectivity, "_augment", counting_augment)
+    return calls
 
 
 class TestEdgeConnectivity:
@@ -109,8 +177,8 @@ class TestVertexConnectivity:
     def test_disconnected(self):
         assert vertex_connectivity(disjoint_union(complete_graph(2), complete_graph(2))) == 0
 
-    def test_brute_force_agreement_n_le_6(self):
-        for n in range(2, 7):
+    def test_brute_force_agreement_n_le_7(self):
+        for n in range(2, 8):
             for g in connected_graph_list(n):
                 assert vertex_connectivity(g) == brute_vertex_connectivity(g)
 
@@ -136,6 +204,36 @@ def connected_classes_upto_7():
     return [g for n in range(1, 8) for g in connected_graph_list(n)]
 
 
+class TestReferenceOracle:
+    """The pruned cuts against a flow for every candidate pair."""
+
+    def test_every_class_upto_7(self):
+        for g in connected_classes_upto_7():
+            assert edge_connectivity(g) == reference_edge_cut(g)
+            assert vertex_connectivity(g) == reference_vertex_cut(g)
+
+    def test_random_graphs(self, random_graphs):
+        kappas = set()
+        for g in random_graphs:
+            assert edge_connectivity(g) == reference_edge_cut(g)
+            kap = vertex_connectivity(g)
+            assert kap == reference_vertex_cut(g)
+            kappas.add(kap)
+        # dense graphs reach sources beyond v_1 and skip pairs on common neighbours
+        assert max(kappas) >= 8
+
+    def test_flow_counts_pinned(self, augment_calls):
+        # a lost pruning rule shows here as a count
+        graphs = connected_graph_list(7)
+        for g in graphs:
+            edge_connectivity(g)
+        assert len(augment_calls) == 487  # 3 030 with a flow 0 -> t for every t
+        augment_calls.clear()
+        for g in graphs:
+            vertex_connectivity(g)
+        assert len(augment_calls) == 643  # 4 668 with a flow for every non-adjacent pair
+
+
 class TestAtlasOracle:
     def test_matches_networkx_on_connected_atlas(self):
         nx = pytest.importorskip("networkx")
@@ -151,40 +249,39 @@ class TestAtlasOracle:
         assert checked == 996
 
 
+def assert_witnesses(g: Graph):
+    prof = connectivity_profile(g)
+    assert prof.edge_connectivity == edge_connectivity(g)
+    assert prof.vertex_connectivity == vertex_connectivity(g)
+    assert len(prof.min_edge_cut) == prof.edge_connectivity
+    assert all(g.has_edge(u, v) for u, v in prof.min_edge_cut)
+    assert not is_connected(without_edges(g, prof.min_edge_cut))
+    complete = g.edge_count() == g.n * (g.n - 1) // 2
+    assert (prof.min_vertex_cut is None) == complete
+    if not complete:
+        assert len(prof.min_vertex_cut) == prof.vertex_connectivity
+        assert not is_connected(without_vertices(g, prof.min_vertex_cut))
+
+
 class TestProfile:
     def test_witnesses_on_every_class_upto_7(self):
         for g in connected_classes_upto_7():
-            if g.n == 1:
-                continue
-            prof = connectivity_profile(g)
-            assert prof.edge_connectivity == edge_connectivity(g)
-            assert prof.vertex_connectivity == vertex_connectivity(g)
-            assert len(prof.min_edge_cut) == prof.edge_connectivity
-            assert all(g.has_edge(u, v) for u, v in prof.min_edge_cut)
-            assert not is_connected(without_edges(g, prof.min_edge_cut))
-            complete = g.edge_count() == g.n * (g.n - 1) // 2
-            assert (prof.min_vertex_cut is None) == complete
-            if not complete:
-                assert len(prof.min_vertex_cut) == prof.vertex_connectivity
-                assert not is_connected(without_vertices(g, prof.min_vertex_cut))
+            if g.n > 1:
+                assert_witnesses(g)
 
-    def test_no_flow_calls_beyond_lambda_and_kappa(self, monkeypatch):
-        calls = []
-        real_augment = connectivity._augment
+    def test_witnesses_on_random_graphs(self, random_graphs):
+        for g in random_graphs:
+            assert_witnesses(g)
 
-        def counting_augment(*args):
-            calls.append(args)
-            return real_augment(*args)
-
-        monkeypatch.setattr(connectivity, "_augment", counting_augment)
+    def test_no_flow_calls_beyond_lambda_and_kappa(self, augment_calls):
         for g in connected_classes_upto_7():
-            calls.clear()
+            augment_calls.clear()
             edge_connectivity(g)
             vertex_connectivity(g)
-            separate = len(calls)
-            calls.clear()
+            separate = len(augment_calls)
+            augment_calls.clear()
             connectivity_profile(g)
-            assert len(calls) == separate
+            assert len(augment_calls) == separate
 
 
 class TestWitnesses:
@@ -199,6 +296,20 @@ class TestWitnesses:
         prof = connectivity_profile(g)
         assert len(prof.min_vertex_cut) == 3
         assert not is_connected(without_vertices(g, prof.min_vertex_cut))
+
+    def test_vertex_cut_at_min_degree_is_a_neighbourhood(self):
+        # no flow beats the minimum degree, so the witness is N(v) of the
+        # first minimum-degree vertex v
+        petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                    + [(i, i + 5) for i in range(5)]
+                                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        for g in (cycle_graph(7), turan_graph(6, 2), petersen):
+            degrees = g.degrees()
+            v = degrees.index(min(degrees))
+            prof = connectivity_profile(g)
+            assert prof.vertex_connectivity == degrees[v]
+            assert prof.min_vertex_cut == tuple(_bits(g.rows[v]))
+            assert not is_connected(without_vertices(g, prof.min_vertex_cut))
 
     def test_complete_graph_has_no_vertex_cut(self):
         prof = connectivity_profile(complete_graph(4))

@@ -10,6 +10,14 @@ earlier choice constrains, so it takes colour 0 only, and a failure below
 it is final: the search never retries earlier components, which would make
 it exponential in their number.  `chromatic_number` is the least k at which
 that search succeeds.
+
+A scan meets every graph h as its parent g plus one last vertex z, joined
+to S; g is the subgraph of h induced on the other vertices.  Then
+chi(g) <= chi(h) <= chi(g) + 1: a colouring of h colours g, and a fresh
+colour for z extends any colouring of g.  If S meets fewer than chi(g)
+colour classes of a chi(g)-colouring of g, z takes a missing colour and
+chi(h) = chi(g).  Otherwise one call, `is_k_colorable(h, chi(g))`, decides
+between chi(g) and chi(g) + 1.
 """
 
 from __future__ import annotations

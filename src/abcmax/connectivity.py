@@ -30,6 +30,41 @@ SIAM J. Comput. 4, 1975, and Esfahanian & Hakimi, Networks 14, 1984):
 Disconnected graphs return 0 (campaign filters rely on the value rather than
 an error), and complete graphs use the n-1 convention for vertex
 connectivity.
+
+`edge_cut_side` and `vertex_separator` return the witnesses as vertex
+masks.  With them, a scan decides most one-vertex extensions without a flow.
+Let g be connected with k >= 2 vertices, and let h = g + z, with z joined to
+a nonempty S, s = |S|:
+
+- lambda: min(lambda(g), s) <= lambda(h)
+  <= min(s, lambda(g) + min(|S & A|, |S - A|)) for the source side A of any
+  minimum edge cut of g.  Lower bound: let F be a minimum edge cut of h and
+  P the side holding z.  If P = {z}, F is z's star and |F| = s.  Otherwise
+  P - z and the other side are nonempty vertex sets of g, and the edges of
+  F inside g separate them, so |F| >= lambda(g).  Upper bound: z's star
+  has s edges; the cut (A, V(g) - A) of g, with z put on A's side, crosses
+  lambda(g) + |S - A| edges, and with z on the other side lambda(g) +
+  |S & A|.  When the two bounds meet, lambda(h) is decided.
+- kappa: first, min(kappa(g), s) <= kappa(h) whenever S != V(g).  Let Y be
+  a minimum separator of h (h is not complete, as z misses a vertex).  If
+  z is in Y, then h - Y = g - (Y - z) is disconnected, so |Y| > kappa(g).
+  If z is not in Y and S is inside Y, then |Y| >= s.  Otherwise z has a
+  neighbour in h - Y, so z's component there holds a vertex of g and
+  another component lies in g, and Y separates g: |Y| >= kappa(g).  (For a
+  complete g only the middle case can occur, and kappa(g) = k - 1 >= s.)
+  Three cases then decide kappa(h):
+  (a) S = V(g): kappa(h) = kappa(g) + 1.  z sees every vertex, so every
+      separator of h holds z and loses it to a separator of g; and X + z
+      separates h for a minimum separator X of g.  For a complete g, h is
+      complete and the convention gives k = kappa(g) + 1.
+  (b) s <= kappa(g) and S != V(g): kappa(h) = s.  S separates z from
+      V(g) - S, and the lower bound is min(kappa(g), s) = s.
+  (c) X a minimum separator of g, and V(g) - X split into two nonempty
+      sides with no edge between them (`vertex_separator`'s P and the
+      rest).  If S misses one side, X still separates h, as z joins only
+      the other one; S != V(g), so kappa(h) <= min(kappa(g), s), and the
+      lower bound makes that an equality.  This covers every S inside X
+      plus one component of g - X.
 """
 
 from __future__ import annotations
@@ -93,8 +128,12 @@ def _augment(unit, free, s: int, t: int, limit: int) -> tuple[int, int]:
     return flow, reach
 
 
-def _edge_cut(g: Graph) -> tuple[int, int]:
-    """(lambda, source side of a minimum edge cut as a vertex mask)."""
+def edge_cut_side(g: Graph) -> tuple[int, int]:
+    """(lambda, the source side A of a minimum edge cut as a vertex mask).
+
+    A is 0 when lambda is 0; otherwise it is a nonempty proper subset of the
+    vertices, and exactly lambda edges leave it.
+    """
     n = g.n
     if n == 1 or not is_connected(g):
         return 0, 0
@@ -149,9 +188,29 @@ def _vertex_cut(g: Graph) -> tuple[int, Optional[int]]:
     return best, best_reach
 
 
+def vertex_separator(g: Graph) -> tuple[int, Optional[tuple[int, int]]]:
+    """(kappa, (X, P)): a minimum separator X and one side P of it, as vertex
+    masks, or None in place of the pair when g is complete, K_1 or disconnected.
+
+    P is a union of components of g - X, and at least one component of
+    g - X lies outside it.
+    """
+    kap, reach = _vertex_cut(g)
+    if reach is None:
+        return kap, None
+    sep = side = 0
+    for v in range(g.n):
+        if (reach >> (2 * v)) & 1:
+            if (reach >> (2 * v + 1)) & 1:
+                side |= 1 << v
+            else:
+                sep |= 1 << v
+    return kap, (sep, side)
+
+
 def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose deletion disconnects g (0 for K_1)."""
-    return _edge_cut(g)[0]
+    return edge_cut_side(g)[0]
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -161,16 +220,12 @@ def vertex_connectivity(g: Graph) -> int:
 
 def connectivity_profile(g: Graph) -> ConnectivityResult:
     """Both connectivities plus witness cuts realizing them (when they exist)."""
-    lam, side = _edge_cut(g)
-    kap, reach = _vertex_cut(g)
+    lam, side = edge_cut_side(g)
+    kap, cut = vertex_separator(g)
     if lam == 0:
         return ConnectivityResult(lam, kap, (), () if g.n > 1 else None)
     edge_cut = tuple(sorted(
         (min(u, v), max(u, v)) for u in _bits(side) for v in _bits(g.rows[u] & ~side)
     ))
-    vertex_cut = None
-    if reach is not None:
-        vertex_cut = tuple(
-            v for v in range(g.n) if (reach >> (2 * v)) & 1 and not (reach >> (2 * v + 1)) & 1
-        )
+    vertex_cut = None if cut is None else tuple(_bits(cut[0]))
     return ConnectivityResult(lam, kap, edge_cut, vertex_cut)

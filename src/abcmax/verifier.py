@@ -10,10 +10,24 @@ A scan of order n has one path.  Its tasks are the canonical-parent
 subtrees rooted at the cached classes of order min(n, SEED_DEPTH); each
 task streams its subtree through every cell of the order and returns one
 partial per cell, and the partials are folded into the cells in task order.
-Worker count only decides where the tasks run: in this process, or in a
-fork pool when jobs > 1 and n > SEED_DEPTH.  The fold is an associative,
-commutative reduction, so worker count never changes a result field.
-Each public entry point checks the order cap once, before any work.
+The fold is an associative, commutative reduction, so worker count never
+changes a result field.
+
+Every graph of a subtree is its parent plus one last vertex, and siblings
+arrive one after another.  The kernel keeps the state of the current
+parent (`_Parent`: lambda with a minimum edge cut's side, kappa with a
+minimum separator and a side of it, chi with a colouring; only what the
+cells need) and decides each child from it by the lemmas in the
+`connectivity` and `coloring` docstrings.  A flow or a colouring search
+runs only where the lemmas leave a child undecided.  A task whose root is
+of order n streams that one graph, which is decided from scratch.
+
+Worker count only decides where the work runs.  With jobs > 1 a campaign
+forks one pool, after the class lists are built, so that the workers
+inherit them.  The battery's property runs go to it first, then the
+subtrees of every order above SEED_DEPTH; the lower orders are scanned in
+this process meanwhile.  Each public entry point checks the order cap and
+its arguments once, before any fork or work.
 """
 
 from __future__ import annotations
@@ -23,14 +37,16 @@ import io
 import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import partial
 from multiprocessing import get_context
 from typing import Iterable, Optional, Sequence
 
 from . import bounds
 from .coloring import chromatic_number, is_k_colorable
-from .connectivity import edge_connectivity, vertex_connectivity
+from .connectivity import edge_connectivity, edge_cut_side, vertex_connectivity, vertex_separator
 from .enumeration import are_isomorphic, check_order, connected_graph_list, expand_seed
 from .graphs import (
     Graph,
@@ -50,6 +66,7 @@ EPSILON = 1e-9  # near-tie window; everything within it is re-checked at TIE_DIG
 TIE_DIGITS = 40
 TIE_TOL = Decimal("1e-20")
 SEED_DEPTH = 7  # order of the subtree roots a scan is split into
+MONOTONICITY_N_MAX = 12  # largest order the battery's monotonicity trials draw
 
 CONSTRAINT_KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq")
 
@@ -192,8 +209,90 @@ class _Accum:
             self.runner_up = other.runner_up
 
 
-def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec]):
-    """Evaluate every constraint cell over a stream; shared per-graph metrics."""
+class _Parent:
+    """What the cells need of a connected parent g with at least 2 vertices,
+    to decide each child h = g + z, z being h's last vertex, by the lemmas in
+    the `connectivity` and `coloring` docstrings.  Only the parts asked for
+    are built: lambda and the source side of a minimum edge cut, kappa and a
+    minimum separator with one side of it, chi and its colour classes."""
+
+    __slots__ = ("full", "lam", "side", "kap", "cut", "chi", "classes")
+
+    def __init__(self, g: Graph, edge: bool, vertex: bool, chrom: bool):
+        self.full = (1 << g.n) - 1
+        if edge:
+            self.lam, self.side = edge_cut_side(g)
+        if vertex:
+            self.kap, self.cut = vertex_separator(g)
+        if chrom:
+            coloring = chromatic_number(g)
+            self.chi = coloring.chi
+            self.classes = [0] * coloring.chi
+            for v, c in enumerate(coloring.witness):
+                self.classes[c] |= 1 << v
+
+    def edge_connectivity(self, h: Graph) -> int:
+        """lambda(h); a flow runs only when the lemma's two bounds differ."""
+        sub = h.rows[-1]
+        s = sub.bit_count()
+        lo = min(self.lam, s)
+        hi = min(s, self.lam + min((sub & self.side).bit_count(), (sub & ~self.side).bit_count()))
+        return lo if lo == hi else edge_connectivity(h)
+
+    def vertex_connectivity(self, h: Graph) -> int:
+        """kappa(h); a flow runs only when none of the lemma's cases applies."""
+        sub = h.rows[-1]
+        if sub == self.full:
+            return self.kap + 1
+        s = sub.bit_count()
+        if s <= self.kap:
+            return s
+        if self.cut is not None:
+            sep, side = self.cut
+            if not sub & side or not sub & ~(sep | side):
+                return self.kap  # min(kappa(g), s), and s > kappa(g) here
+        return vertex_connectivity(h)
+
+    def chromatic_number(self, h: Graph) -> int:
+        """chi(h); a colouring search runs only when z sees every colour."""
+        sub = h.rows[-1]
+        chi = self.chi
+        if sum(1 for c in self.classes if sub & c) < chi or is_k_colorable(h, chi):
+            return chi
+        return chi + 1
+
+
+def _parent_rows(h: Graph) -> tuple[int, ...]:
+    """The rows of h minus its last vertex."""
+    low = (1 << (h.n - 1)) - 1
+    return tuple(r & low for r in h.rows[:-1])
+
+
+def _parent_state(rows: tuple[int, ...], edge: bool, vertex: bool,
+                  chrom: bool) -> Optional[_Parent]:
+    """The state of the parent with these rows, or None when it is K_1 or
+    disconnected: the lemmas hold only for a connected parent of order >= 2."""
+    if len(rows) < 2 or not is_connected(g := Graph(len(rows), rows)):
+        return None
+    return _Parent(g, edge, vertex, chrom)
+
+
+def _chromatic_in(g: Graph, lo: int, hi: int) -> Optional[int]:
+    """chi(g) if it lies in lo..hi, else None.  It lies there iff hi colours
+    suffice and lo - 1 do not; then it is the first colourable k from lo up,
+    so one cell value costs two calls."""
+    if is_k_colorable(g, hi) and not is_k_colorable(g, lo - 1):
+        return next((k for k in range(lo, hi) if is_k_colorable(g, k)), hi)
+    return None
+
+
+def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
+                 inherit: bool = False):
+    """Evaluate every constraint cell over a stream; shared per-graph metrics.
+
+    With `inherit`, each graph is decided from its parent, the graph minus
+    its last vertex, whose state is kept for the siblings that follow it.
+    """
     accums = [_Accum() for _ in constraints]
     edge_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "edge_connectivity_eq"]
     vertex_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "vertex_connectivity_eq"]
@@ -204,20 +303,27 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec])
     min_vertex_k = min((v for _, v in vertex_cells), default=None)
 
     streamed = 0
+    parent = parent_rows = None
     for g in graphs:
         streamed += 1
+        if inherit and (rows := _parent_rows(g)) != parent_rows:
+            parent_rows = rows
+            parent = _parent_state(rows, bool(edge_cells), bool(vertex_cells), bool(chrom_cells))
         matched: list[int] = []
         min_deg = min(r.bit_count() for r in g.rows) if (edge_cells or vertex_cells) else 0
         if edge_cells and min_deg >= min_edge_k:
-            lam = edge_connectivity(g)
+            lam = parent.edge_connectivity(g) if parent else edge_connectivity(g)
             matched.extend(i for i, k in edge_cells if k == lam)
         if vertex_cells and min_deg >= min_vertex_k:
-            kap = vertex_connectivity(g)
+            kap = parent.vertex_connectivity(g) if parent else vertex_connectivity(g)
             matched.extend(i for i, k in vertex_cells if k == kap)
-        # chi lies in lo..hi iff hi colours suffice and lo - 1 do not; then it
-        # is the first colourable k from lo up, so one cell value costs two calls
-        if chrom_cells and is_k_colorable(g, chi_hi) and not is_k_colorable(g, chi_lo - 1):
-            chi = next((k for k in range(chi_lo, chi_hi) if is_k_colorable(g, k)), chi_hi)
+        if chrom_cells:
+            if parent is None:
+                chi = _chromatic_in(g, chi_lo, chi_hi)
+            elif chi_lo - 1 <= parent.chi <= chi_hi:  # chi(g) is chi(parent) or one more
+                chi = parent.chromatic_number(g)
+            else:
+                chi = None
             matched.extend(i for i, v in chrom_cells if v == chi)
         if matched:
             value = abc_index(g)
@@ -229,27 +335,25 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec])
 
 def _scan_subtree(task):
     rows, n, constraints = task
-    return _scan_kernel(expand_seed(rows, n), constraints)
-
-
-def _subtree_partials(tasks: list, jobs: int, pooled: bool):
-    """Each task's (partials, streamed), in task order."""
-    if not pooled:
-        yield from map(_scan_subtree, tasks)
-        return
-    with get_context("fork").Pool(processes=jobs) as pool:
-        yield from pool.imap(_scan_subtree, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
+    # a root of order n streams itself alone, with no sibling to share a parent
+    return _scan_kernel(expand_seed(rows, n), constraints, len(rows) < n)
 
 
 def _scan_cells(
-    n: int, constraints: Sequence[ConstraintSpec], jobs: int
+    n: int, constraints: Sequence[ConstraintSpec], seeds: Sequence[Graph], pool, jobs: int
 ) -> tuple[list["ExtremalResult"], int]:
-    """Every cell of order n from one scan; the caller has checked the order cap."""
-    tasks = [(g.rows, n, constraints) for g in connected_graph_list(min(n, SEED_DEPTH))]
+    """Every cell of order n from one scan of the subtrees of `seeds`, the
+    classes of order min(n, SEED_DEPTH); above SEED_DEPTH the subtrees go to
+    `pool` when there is one.  The caller has checked the order cap."""
+    tasks = [(g.rows, n, constraints) for g in seeds]
+    if pool is not None and n > SEED_DEPTH:
+        partials = pool.imap(_scan_subtree, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
+    else:
+        partials = map(_scan_subtree, tasks)
     accums = [_Accum() for _ in constraints]
     streamed = 0
     # fold each subtree's partials in as it arrives rather than holding them all
-    for parts, count in _subtree_partials(tasks, jobs, jobs > 1 and n > SEED_DEPTH):
+    for parts, count in partials:
         streamed += count
         for a, p in zip(accums, parts):
             a.merge(p)
@@ -309,7 +413,9 @@ def find_maximizer(
 ) -> ExtremalResult:
     """Scan one (n, constraint) cell exhaustively."""
     check_order(n, allow_long)
-    results, _ = _scan_cells(n, [constraint], jobs)
+    seeds = connected_graph_list(min(n, SEED_DEPTH))
+    with _fork_pool(jobs, n > SEED_DEPTH) as pool:
+        results, _ = _scan_cells(n, [constraint], seeds, pool, jobs)
     return results[0]
 
 
@@ -383,25 +489,48 @@ def _campaign_values(campaign: str, n: int, values) -> list[int]:
     return [v for v in vals if 1 <= v <= n - 1]
 
 
+@contextmanager
+def _fork_pool(jobs: int, needed: bool):
+    """A fork pool of `jobs` workers when jobs > 1 and there is work for it,
+    else None.  Leaving the block ends every worker, on an error too."""
+    if jobs > 1 and needed:
+        with get_context("fork").Pool(processes=jobs) as pool:
+            yield pool
+    else:
+        yield None
+
+
 def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
-                    jobs: int) -> tuple[list[dict], int]:
-    """Cells of every campaign, campaign-major, from one scan per order.  The
+                    jobs: int, properties=()) -> tuple[list[dict], int]:
+    """Cells of every campaign, campaign-major, from one scan per order, then
+    the cells of the `properties` runs, given as (function, args) pairs.  The
     graphs-scanned count is summed over campaigns, as if each had its own scan.
-    The caller has checked the order cap."""
-    cells: list[dict] = []
-    graphs_scanned = 0
+    The caller has checked the order cap and the property runs' arguments."""
+    plans = []
     for n in n_values:
         constraints = [
             ConstraintSpec(_CAMPAIGN_TO_KIND[campaign], v)
             for campaign in campaigns
             for v in _campaign_values(campaign, n, values)
         ]
-        if not constraints:
-            continue
-        results, streamed = _scan_cells(n, constraints, jobs)
-        graphs_scanned += streamed * len({c.kind for c in constraints})
-        cells.extend(r.to_dict() for r in results)
-    cells.sort(key=lambda cell: campaigns.index(cell["campaign"]))
+        if constraints:
+            plans.append((n, constraints, connected_graph_list(min(n, SEED_DEPTH))))
+    # one pool for the campaign, forked after the class lists are built so
+    # that the workers inherit them; the property runs are queued first and
+    # run beside the orders this process scans
+    pooled = bool(properties) or any(n > SEED_DEPTH for n, _, _ in plans)
+    with _fork_pool(jobs, pooled) as pool:
+        runs = [pool.apply_async(fn, args).get if pool else partial(fn, *args)
+                for fn, args in properties]
+        cells: list[dict] = []
+        graphs_scanned = 0
+        for n, constraints, seeds in plans:
+            results, streamed = _scan_cells(n, constraints, seeds, pool, jobs)
+            graphs_scanned += streamed * len({c.kind for c in constraints})
+            cells.extend(r.to_dict() for r in results)
+        cells.sort(key=lambda cell: campaigns.index(cell["campaign"]))
+        for run in runs:
+            cells += run().cells
     return cells, graphs_scanned
 
 
@@ -460,16 +589,20 @@ def _random_connected(rng: random.Random, n: int) -> Graph:
             return g
 
 
+def _check_monotonicity_args(trials: int, n_max: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 3 <= n_max <= 64:
+        raise ValueError(f"n_max must be in 3..64, got {n_max}")
+
+
 def verify_monotonicity(trials: int, n_max: int, seed: int) -> Report:
     """Random connected graph + random missing edge; adding it must raise ABC.
 
     Small orders draw uniformly over isomorphism classes; larger orders use
     edge-probability 1/2 with connectivity rejection.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 3 <= n_max <= 64:
-        raise ValueError(f"n_max must be in 3..64, got {n_max}")
+    _check_monotonicity_args(trials, n_max)
     t0 = time.monotonic()
     rng = random.Random(seed)
     min_gain = None
@@ -512,11 +645,15 @@ def verify_monotonicity(trials: int, n_max: int, seed: int) -> Report:
     return Report("monotonicity", params, [cell], totals)
 
 
+def _check_bridge_args(n_max: int) -> None:
+    if n_max < 6:
+        raise ValueError(f"n_max must be >= 6, got {n_max}")
+
+
 def verify_bridge_rewrite(n_max: int) -> Report:
     """Shrinking the small side of a bridged clique pair must raise ABC, every
     step down to the pendant-clique endpoint of the chain."""
-    if n_max < 6:
-        raise ValueError(f"n_max must be >= 6, got {n_max}")
+    _check_bridge_args(n_max)
     t0 = time.monotonic()
     memo: dict[tuple[int, int], float] = {}
 
@@ -580,12 +717,12 @@ def run_full_battery(
     if not ns:
         raise ValueError(f"n-range {n_lo}..{n_hi} has no order >= 3 to scan")
     check_order(n_hi, allow_long)
-    # the property runs go first so that their argument errors come before any scan
-    properties = verify_monotonicity(trials, 12, seed).cells
-    properties += verify_bridge_rewrite(bridge_n_max).cells
+    _check_monotonicity_args(trials, MONOTONICITY_N_MAX)
+    _check_bridge_args(bridge_n_max)
     cells, graphs_scanned = _scan_campaigns(
-        ("edge-conn", "vertex-conn", "chromatic"), ns, None, jobs)
-    cells += properties
+        ("edge-conn", "vertex-conn", "chromatic"), ns, None, jobs,
+        [(verify_monotonicity, (trials, MONOTONICITY_N_MAX, seed)),
+         (verify_bridge_rewrite, (bridge_n_max,))])
     params = {
         "campaign": "all",
         "n_range": [n_lo, n_hi],

@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 
 import pytest
 
@@ -206,11 +207,18 @@ class TestUsage:
         def crash(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("abcmax.verifier._scan_kernel", crash)
         monkeypatch.setattr("abcmax.verifier.SEED_DEPTH", 4)  # n=5 goes through the pool
         out_file = tmp_path / "r.json"
-        code, _, err = run_cli(capsys, "verify", "edge-conn", "--n-range", "5..5",
-                               "--jobs", jobs, "--out", str(out_file))
-        assert code == 2
-        assert err.strip().splitlines() == ["error: RuntimeError('boom')"]
-        assert not out_file.exists()
+        for target, argv in (
+            ("abcmax.verifier._scan_kernel", ("edge-conn", "--n-range", "5..5")),
+            # at --jobs 2 the monotonicity run, and so the crash, is in a pool worker
+            ("abcmax.verifier._random_connected", ("all", "--n-range", "4..5", "--trials", "5")),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(target, crash)
+                code, _, err = run_cli(capsys, "verify", *argv, "--jobs", jobs,
+                                       "--out", str(out_file))
+            assert code == 2
+            assert err.strip().splitlines() == ["error: RuntimeError('boom')"]
+            assert not out_file.exists()
+            assert multiprocessing.active_children() == []

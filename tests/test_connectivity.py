@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from abcmax import connectivity
+from abcmax import connectivity, verifier
 from abcmax.connectivity import (
     connectivity_profile,
     edge_connectivity,
+    edge_cut_side,
     vertex_connectivity,
+    vertex_separator,
 )
 from abcmax.enumeration import connected_graph_list
 from abcmax.graphs import (
@@ -233,6 +236,25 @@ class TestReferenceOracle:
             vertex_connectivity(g)
         assert len(augment_calls) == 643  # 4 668 with a flow for every non-adjacent pair
 
+    def test_scan_calls_pinned(self, monkeypatch, augment_calls):
+        # the order-8 scan of `verify all`: a lost parent lemma shows here as a count
+        calls = Counter()
+        for name in ("edge_connectivity", "vertex_connectivity", "is_k_colorable",
+                     "chromatic_number"):
+            def counted(*args, _real=getattr(verifier, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(verifier, name, counted)
+        cells = [verifier.ConstraintSpec(kind, k) for kind in
+                 ("edge_connectivity_eq", "vertex_connectivity_eq") for k in range(1, 7)]
+        cells += [verifier.ConstraintSpec("chromatic_eq", k) for k in range(2, 9)]
+        verifier._scan_cells(8, cells, connected_graph_list(7), None, 1)
+        # from scratch: 11 123 lambda and kappa calls, 51 163 colouring calls;
+        # the parents' chi is 853 of the chromatic_number calls, the rest re-check maximizers
+        assert calls == {"edge_connectivity": 1824, "vertex_connectivity": 1609,
+                         "is_k_colorable": 249, "chromatic_number": 860}
+        assert len(augment_calls) == 11819  # 22 752 from scratch; parents' witnesses included
+
 
 class TestAtlasOracle:
     def test_matches_networkx_on_connected_atlas(self):
@@ -261,6 +283,20 @@ def assert_witnesses(g: Graph):
     if not complete:
         assert len(prof.min_vertex_cut) == prof.vertex_connectivity
         assert not is_connected(without_vertices(g, prof.min_vertex_cut))
+    # the masks the scan decides children from
+    full = (1 << g.n) - 1
+    lam, side = edge_cut_side(g)
+    assert 0 < side < full
+    assert sum((g.rows[u] & ~side).bit_count() for u in _bits(side)) == lam
+    kap, cut = vertex_separator(g)
+    assert kap == prof.vertex_connectivity
+    assert (cut is None) == complete
+    if not complete:
+        sep, p_side = cut
+        rest = full & ~(sep | p_side)
+        assert not sep & p_side and p_side and rest
+        assert tuple(_bits(sep)) == prof.min_vertex_cut
+        assert not any(g.rows[u] & rest for u in _bits(p_side))
 
 
 class TestProfile:

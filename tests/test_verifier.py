@@ -10,8 +10,23 @@ import pytest
 from abcmax import verifier
 from abcmax.cli import main
 from abcmax.coloring import chromatic_number
+from abcmax.connectivity import (
+    edge_connectivity,
+    edge_cut_side,
+    vertex_connectivity,
+    vertex_separator,
+)
 from abcmax.enumeration import are_isomorphic, connected_graph_list
-from abcmax.graphs import decode_graph6, kn_k_graph, turan_graph, complete_graph
+from abcmax.graphs import (
+    Graph,
+    _bits,
+    complete_graph,
+    decode_graph6,
+    disjoint_union,
+    is_connected,
+    kn_k_graph,
+    turan_graph,
+)
 from abcmax.verifier import (
     ConstraintSpec,
     Report,
@@ -241,6 +256,104 @@ class TestChromaticWindow:
                 assert [a.scanned for a in accums] == [chis[c.value] for c in cells]
 
 
+KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq")
+
+
+def kernel_values(h: Graph) -> list:
+    """(lambda, kappa, chi) of h as the inheriting kernel decides them, from
+    h minus its last vertex; None where no cell matched."""
+    cells = [ConstraintSpec(kind, v) for kind in KINDS for v in range(1, h.n + 1)
+             if v >= 2 or kind != "chromatic_eq"]
+    accums, streamed = verifier._scan_kernel([h], cells, True)
+    assert streamed == 1
+    values = [None, None, None]
+    for c, a in zip(cells, accums):
+        if a.scanned:
+            values[KINDS.index(c.kind)] = c.value
+    return values
+
+
+def scratch_values(h: Graph) -> list:
+    return [edge_connectivity(h), vertex_connectivity(h), chromatic_number(h).chi]
+
+
+def child(g: Graph, sub: int) -> Graph:
+    rows = [r | ((sub >> v) & 1) << g.n for v, r in enumerate(g.rows)]
+    return Graph(g.n + 1, tuple(rows) + (sub,))
+
+
+def random_graph(rng: random.Random, k: int, p: float) -> Graph:
+    return Graph.from_edges(k, [(u, v) for u in range(k) for v in range(u + 1, k)
+                                if rng.random() < p])
+
+
+def random_pairs(count: int):
+    """Seeded (g, h = g + z) pairs, |V(h)| <= 16, h connected.  z is joined
+    at random, to all of V(g), inside one side of a minimum edge cut, inside
+    a minimum separator plus one side of it, or to at most kappa(g) vertices.
+    One parent in eight is disconnected; z then meets every component."""
+    rng = random.Random(21)
+    modes = ("random", "universal", "edge side", "separator side", "small")
+    for i in range(count):
+        p = rng.choice((0.2, 0.4, 0.6, 0.85))
+        if i % 8 == 0:
+            g = disjoint_union(random_graph(rng, rng.randint(1, 7), p),
+                               random_graph(rng, rng.randint(1, 7), p))
+        else:
+            k = rng.randint(1, 15)
+            while not is_connected(g := random_graph(rng, k, p)):
+                pass
+        k = g.n
+        full = (1 << k) - 1
+        mode = modes[i % len(modes)]
+        pool = full
+        if mode == "edge side" and k > 1 and is_connected(g):
+            side = edge_cut_side(g)[1]
+            pool = rng.choice((side, full & ~side))
+        elif mode == "separator side" and vertex_separator(g)[1] is not None:
+            sep, side = vertex_separator(g)[1]
+            pool = sep | rng.choice((side, full & ~(sep | side)))
+        members = list(_bits(pool))
+        if mode == "universal":
+            sub = full
+        elif mode == "small":
+            size = min(len(members), rng.randint(1, max(1, vertex_connectivity(g))))
+            sub = sum(1 << v for v in rng.sample(members, size))
+        else:
+            sub = sum(1 << v for v in members if rng.random() < 0.5)
+        while not sub or not is_connected(h := child(g, sub)):
+            sub |= 1 << rng.randrange(k)
+        yield g, h
+
+
+class TestParentLemmas:
+    """Each child's lambda, kappa and chi decided from its parent's witnesses
+    equal the values computed from scratch."""
+
+    def test_every_child_of_every_class_upto_7(self):
+        # the classes of order k + 1 are the children of those of order k, in
+        # list order, so h minus its last vertex is its generator parent
+        parents = {}
+        for n in range(3, 9):
+            for h in connected_graph_list(n):
+                rows = verifier._parent_rows(h)
+                if rows not in parents:
+                    parents[rows] = verifier._parent_state(rows, True, True, True)
+                parent = parents[rows]
+                inherited = [parent.edge_connectivity(h), parent.vertex_connectivity(h),
+                             parent.chromatic_number(h)]
+                assert inherited == scratch_values(h), h.rows
+        assert len(parents) == sum(len(connected_graph_list(k)) for k in range(2, 8))
+
+    def test_random_pairs(self):
+        universal = disconnected = 0
+        for g, h in random_pairs(2000):
+            assert kernel_values(h) == scratch_values(h), (g.rows, h.rows)
+            universal += h.rows[-1] == (1 << g.n) - 1
+            disconnected += not is_connected(g)
+        assert universal >= 300 and disconnected >= 200
+
+
 class TestFusedScan:
     CAMPAIGNS = ("edge-conn", "vertex-conn", "chromatic")
 
@@ -262,6 +375,17 @@ class TestFusedScan:
         assert fused == [cell for rep in separate for cell in rep.cells]
         assert battery.totals["graphs_scanned"] == sum(
             rep.totals["graphs_scanned"] for rep in separate)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deep_subtrees_equal_one_graph_tasks(self, monkeypatch, jobs):
+        # SEED_DEPTH 7 makes every graph of orders 4..7 its own task, decided
+        # from scratch; roots of order 4 decide orders 5..7 from parents at
+        # depths 1..3 of the subtrees, and at jobs 2 in pool workers
+        flat = run_full_battery(4, 7, jobs=1, trials=20, bridge_n_max=6)
+        monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
+        deep = run_full_battery(4, 7, jobs=jobs, trials=20, bridge_n_max=6)
+        assert deep.cells == flat.cells
+        assert deep.totals["graphs_scanned"] == flat.totals["graphs_scanned"]
 
     def test_bad_trials_fail_before_any_scan(self, monkeypatch, capsys):
         scans = []

@@ -6,28 +6,33 @@ tracks the ABC maximum together with everything within the fixed window
 EPSILON of it, re-evaluates that near-tie set at 40 significant decimals,
 and only then declares a unique maximizer or a genuine tie.
 
-A scan of order n has one path.  Its tasks are the canonical-parent
-subtrees rooted at the cached classes of order min(n, SEED_DEPTH); each
-task streams its subtree through every cell of the order and returns one
-partial per cell, and the partials are folded into the cells in task order.
-The fold is an associative, commutative reduction, so worker count never
-changes a result field.
+A scan of order n has one path.  An order n <= SEED_DEPTH is one pass over
+its cached class list, which holds the children of every class of order
+n - 1, each parent's together.  A higher order is split into the
+canonical-parent subtrees rooted at the cached classes of order
+SEED_DEPTH; each task streams its subtree through every cell of the order
+and returns one partial per cell, and the partials are folded into the
+cells in task order.  The fold is an associative, commutative reduction,
+so worker count never changes a result field.
 
-Every graph of a subtree is its parent plus one last vertex, and siblings
-arrive one after another.  The kernel keeps the state of the current
-parent (`_Parent`: lambda with a minimum edge cut's side, kappa with a
-minimum separator and a side of it, chi with a colouring; only what the
-cells need) and decides each child from it by the lemmas in the
-`connectivity` and `coloring` docstrings.  A flow or a colouring search
-runs only where the lemmas leave a child undecided.  A task whose root is
-of order n streams that one graph, which is decided from scratch.
+Every graph is thus its parent plus one last vertex, and siblings arrive
+one after another.  The kernel keeps the state of the current parent
+(`_Parent`: lambda with a minimum edge cut's side, kappa with a minimum
+separator and a side of it, chi with a colouring; only what the cells
+need) and decides each child from it by the lemmas in the `connectivity`
+and `coloring` docstrings.  A flow or a colouring search runs only where
+the lemmas leave a child undecided; a graph whose parent has fewer than
+two vertices or is disconnected, which the lemmas do not cover, is decided
+from scratch.
 
 Worker count only decides where the work runs.  With jobs > 1 a campaign
 forks one pool, after the class lists are built, so that the workers
 inherit them.  The battery's property runs go to it first, then the
 subtrees of every order above SEED_DEPTH; the lower orders are scanned in
-this process meanwhile.  Each public entry point checks the order cap and
-its arguments once, before any fork or work.
+this process meanwhile, and every fold checks the property runs, so that
+a failed one stops the campaign.  With jobs = 1 the property runs come
+before the scans.  Each public entry point checks the order cap and its
+arguments once, before any fork or work.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import partial
 from multiprocessing import get_context
 from typing import Iterable, Optional, Sequence
 
@@ -277,21 +281,11 @@ def _parent_state(rows: tuple[int, ...], edge: bool, vertex: bool,
     return _Parent(g, edge, vertex, chrom)
 
 
-def _chromatic_in(g: Graph, lo: int, hi: int) -> Optional[int]:
-    """chi(g) if it lies in lo..hi, else None.  It lies there iff hi colours
-    suffice and lo - 1 do not; then it is the first colourable k from lo up,
-    so one cell value costs two calls."""
-    if is_k_colorable(g, hi) and not is_k_colorable(g, lo - 1):
-        return next((k for k in range(lo, hi) if is_k_colorable(g, k)), hi)
-    return None
-
-
-def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
-                 inherit: bool = False):
+def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec]):
     """Evaluate every constraint cell over a stream; shared per-graph metrics.
 
-    With `inherit`, each graph is decided from its parent, the graph minus
-    its last vertex, whose state is kept for the siblings that follow it.
+    Each graph is decided from its parent, the graph minus its last vertex,
+    whose state is kept for the siblings that follow it.
     """
     accums = [_Accum() for _ in constraints]
     edge_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "edge_connectivity_eq"]
@@ -306,7 +300,7 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
     parent = parent_rows = None
     for g in graphs:
         streamed += 1
-        if inherit and (rows := _parent_rows(g)) != parent_rows:
+        if (rows := _parent_rows(g)) != parent_rows:
             parent_rows = rows
             parent = _parent_state(rows, bool(edge_cells), bool(vertex_cells), bool(chrom_cells))
         matched: list[int] = []
@@ -319,7 +313,7 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
             matched.extend(i for i, k in vertex_cells if k == kap)
         if chrom_cells:
             if parent is None:
-                chi = _chromatic_in(g, chi_lo, chi_hi)
+                chi = chromatic_number(g).chi
             elif chi_lo - 1 <= parent.chi <= chi_hi:  # chi(g) is chi(parent) or one more
                 chi = parent.chromatic_number(g)
             else:
@@ -335,25 +329,33 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec],
 
 def _scan_subtree(task):
     rows, n, constraints = task
-    # a root of order n streams itself alone, with no sibling to share a parent
-    return _scan_kernel(expand_seed(rows, n), constraints, len(rows) < n)
+    return _scan_kernel(expand_seed(rows, n), constraints)
 
 
 def _scan_cells(
-    n: int, constraints: Sequence[ConstraintSpec], seeds: Sequence[Graph], pool, jobs: int
+    n: int, constraints: Sequence[ConstraintSpec], seeds: Sequence[Graph], pool, jobs: int,
+    runs=(),
 ) -> tuple[list["ExtremalResult"], int]:
-    """Every cell of order n from one scan of the subtrees of `seeds`, the
-    classes of order min(n, SEED_DEPTH); above SEED_DEPTH the subtrees go to
-    `pool` when there is one.  The caller has checked the order cap."""
-    tasks = [(g.rows, n, constraints) for g in seeds]
-    if pool is not None and n > SEED_DEPTH:
-        partials = pool.imap(_scan_subtree, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
+    """Every cell of order n.  `seeds` are the classes of order
+    min(n, SEED_DEPTH): up to SEED_DEPTH they are the stream itself, above
+    it the roots of the subtrees, which go to `pool` when there is one.
+    Each fold first re-raises the error of any failed run among `runs`, the
+    queued property runs.  The caller has checked the order cap."""
+    if n <= SEED_DEPTH:
+        partials = [_scan_kernel(seeds, constraints)]
     else:
-        partials = map(_scan_subtree, tasks)
+        tasks = [(g.rows, n, constraints) for g in seeds]
+        if pool is not None:
+            partials = pool.imap(_scan_subtree, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
+        else:
+            partials = map(_scan_subtree, tasks)
     accums = [_Accum() for _ in constraints]
     streamed = 0
     # fold each subtree's partials in as it arrives rather than holding them all
     for parts, count in partials:
+        for run in runs:
+            if run.ready():
+                run.get()
         streamed += count
         for a, p in zip(accums, parts):
             a.merge(p)
@@ -517,20 +519,21 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
             plans.append((n, constraints, connected_graph_list(min(n, SEED_DEPTH))))
     # one pool for the campaign, forked after the class lists are built so
     # that the workers inherit them; the property runs are queued first and
-    # run beside the orders this process scans
+    # run beside the scans, which stop at the first fold after one fails.
+    # Without a pool they run before the scans, for the same early stop.
     pooled = bool(properties) or any(n > SEED_DEPTH for n, _, _ in plans)
     with _fork_pool(jobs, pooled) as pool:
-        runs = [pool.apply_async(fn, args).get if pool else partial(fn, *args)
-                for fn, args in properties]
+        runs = [pool.apply_async(fn, args) for fn, args in properties] if pool else []
+        reports = [] if pool else [fn(*args) for fn, args in properties]
         cells: list[dict] = []
         graphs_scanned = 0
         for n, constraints, seeds in plans:
-            results, streamed = _scan_cells(n, constraints, seeds, pool, jobs)
+            results, streamed = _scan_cells(n, constraints, seeds, pool, jobs, runs)
             graphs_scanned += streamed * len({c.kind for c in constraints})
             cells.extend(r.to_dict() for r in results)
         cells.sort(key=lambda cell: campaigns.index(cell["campaign"]))
-        for run in runs:
-            cells += run().cells
+        for report in reports + [run.get() for run in runs]:
+            cells += report.cells
     return cells, graphs_scanned
 
 
@@ -652,41 +655,30 @@ def _check_bridge_args(n_max: int) -> None:
 
 def verify_bridge_rewrite(n_max: int) -> Report:
     """Shrinking the small side of a bridged clique pair must raise ABC, every
-    step down to the pendant-clique endpoint of the chain."""
+    step down to the pendant-clique endpoint of the chain.
+
+    The endpoint K_1 bridged to K_{n-1} is recognised by its degree sequence,
+    which is exact: a graph with K_n(1)'s degrees (1, n-2, ..., n-2, n-1)
+    is K_n(1).  Its degree-(n-1) vertex u sees every vertex, so the pendant
+    vertex hangs on u; each of the other n-2 vertices then has n-3
+    neighbours besides u, none of them the pendant one, so they are pairwise
+    adjacent and form K_{n-1} with u."""
     _check_bridge_args(n_max)
     t0 = time.monotonic()
-    memo: dict[tuple[int, int], float] = {}
-
-    def bridge_abc(x: int, y: int) -> float:
-        key = (x, y)
-        if key not in memo:
-            memo[key] = abc_index(bridge_cliques_graph(x, y))
-        return memo[key]
-
     cells = []
     for n in range(6, n_max + 1):
-        gains = []
-        violations = []
-        for x in range(2, n // 2 + 1):
-            gain = bridge_abc(x - 1, n - x + 1) - bridge_abc(x, n - x)
-            gains.append(gain)
-            if gain <= bounds.STRICT_GAP_TOL:
-                violations.append({"n": n, "x": x, "gain": gain})
-        chain_end = bridge_cliques_graph(1, n - 1)
-        if n <= 12:
-            chain_end_matches = are_isomorphic(chain_end, kn_k_graph(n, 1))
-        else:
-            knk = kn_k_graph(n, 1)
-            chain_end_matches = (
-                sorted(chain_end.degrees()) == sorted(knk.degrees())
-                and chain_end.edge_count() == knk.edge_count()
-            )
+        abc = {x: abc_index(bridge_cliques_graph(x, n - x)) for x in range(1, n // 2 + 1)}
+        gains = {x: abc[x - 1] - abc[x] for x in abc if x > 1}
+        violations = [{"n": n, "x": x, "gain": gain} for x, gain in gains.items()
+                      if gain <= bounds.STRICT_GAP_TOL]
+        chain_end_matches = (sorted(bridge_cliques_graph(1, n - 1).degrees())
+                             == sorted(kn_k_graph(n, 1).degrees()))
         cells.append({
             "campaign": "bridge",
             "cell_class": "must-match",
             "n": n,
             "comparisons": len(gains),
-            "min_gain": min(gains),
+            "min_gain": min(gains.values()),
             "violations": violations,
             "chain_end_matches": chain_end_matches,
             "matches": not violations and chain_end_matches,

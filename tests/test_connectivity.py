@@ -255,6 +255,26 @@ class TestReferenceOracle:
                          "is_k_colorable": 249, "chromatic_number": 860}
         assert len(augment_calls) == 11819  # 22 752 from scratch; parents' witnesses included
 
+    def test_low_order_scan_calls_pinned(self, monkeypatch):
+        # the battery's orders 4..7, each one pass over its class list with
+        # every graph decided from its parent
+        calls = Counter()
+        for name in ("edge_connectivity", "vertex_connectivity", "is_k_colorable",
+                     "chromatic_number"):
+            def counted(*args, _real=getattr(verifier, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(verifier, name, counted)
+        for n in range(4, 8):
+            cells = [verifier.ConstraintSpec(kind, k) for kind in
+                     ("edge_connectivity_eq", "vertex_connectivity_eq") for k in range(1, n - 1)]
+            cells += [verifier.ConstraintSpec("chromatic_eq", k) for k in range(2, n + 1)]
+            verifier._scan_cells(n, cells, connected_graph_list(n), None, 1)
+        # from scratch: 1 006 lambda and kappa calls, 4 331 colouring calls; the
+        # 141 parents of orders 3..6 are in the chromatic_number calls
+        assert calls == {"edge_connectivity": 202, "vertex_connectivity": 164,
+                         "is_k_colorable": 34, "chromatic_number": 159}
+
 
 class TestAtlasOracle:
     def test_matches_networkx_on_connected_atlas(self):

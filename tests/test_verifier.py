@@ -190,6 +190,14 @@ class TestBridgeRewrite:
             assert cell["min_gain"] > 1e-12
             assert cell["chain_end_matches"] is True
 
+    def test_chain_end_degrees_determine_kn1(self):
+        # the bridge run's chain-end check compares degree sequences only
+        for n in range(3, 9):
+            knk = kn_k_graph(n, 1)
+            degrees = sorted(knk.degrees())
+            same = [g for g in connected_graph_list(n) if sorted(g.degrees()) == degrees]
+            assert len(same) == 1 and are_isomorphic(same[0], knk)
+
 
 class TestReports:
     def test_json_round_trip_is_fixed_point(self):
@@ -244,12 +252,15 @@ class TestAccum:
                 (whole.scanned, whole.best, sorted(whole.cands), whole.runner_up)
 
 
-class TestChromaticWindow:
-    def test_window_counts_match_chromatic_number(self):
+class TestChromaticCells:
+    def test_cell_counts_match_chromatic_number(self):
+        # K_2's parent is K_1, which has no state: its chi comes from scratch
+        assert verifier._parent_state(verifier._parent_rows(complete_graph(2)),
+                                      False, False, True) is None
         for n in range(2, 8):
             classes = connected_graph_list(n)
             chis = Counter(chromatic_number(g).chi for g in classes)
-            for window in ({3}, {4, 5}, set(range(2, n + 1)), {n}):
+            for window in ({2}, {3}, {4, 5}, set(range(2, n + 1)), {n}):
                 cells = [ConstraintSpec("chromatic_eq", v) for v in sorted(window)]
                 accums, streamed = verifier._scan_kernel(classes, cells)
                 assert streamed == len(classes)
@@ -260,11 +271,11 @@ KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq")
 
 
 def kernel_values(h: Graph) -> list:
-    """(lambda, kappa, chi) of h as the inheriting kernel decides them, from
-    h minus its last vertex; None where no cell matched."""
+    """(lambda, kappa, chi) of h as the kernel decides them, from h minus
+    its last vertex; None where no cell matched."""
     cells = [ConstraintSpec(kind, v) for kind in KINDS for v in range(1, h.n + 1)
              if v >= 2 or kind != "chromatic_eq"]
-    accums, streamed = verifier._scan_kernel([h], cells, True)
+    accums, streamed = verifier._scan_kernel([h], cells)
     assert streamed == 1
     values = [None, None, None]
     for c, a in zip(cells, accums):
@@ -377,15 +388,37 @@ class TestFusedScan:
             rep.totals["graphs_scanned"] for rep in separate)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_deep_subtrees_equal_one_graph_tasks(self, monkeypatch, jobs):
-        # SEED_DEPTH 7 makes every graph of orders 4..7 its own task, decided
-        # from scratch; roots of order 4 decide orders 5..7 from parents at
-        # depths 1..3 of the subtrees, and at jobs 2 in pool workers
+    def test_deep_subtrees_equal_flat_stream(self, monkeypatch, jobs):
+        # SEED_DEPTH 7 scans each of orders 4..7 as one pass over its class
+        # list; roots of order 4 split orders 5..7 into subtrees, at jobs 2
+        # scanned in pool workers
         flat = run_full_battery(4, 7, jobs=1, trials=20, bridge_n_max=6)
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
         deep = run_full_battery(4, 7, jobs=jobs, trials=20, bridge_n_max=6)
         assert deep.cells == flat.cells
         assert deep.totals["graphs_scanned"] == flat.totals["graphs_scanned"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_property_run_stops_the_scans(self, monkeypatch, jobs):
+        # at jobs 1 the property runs come first; at jobs 2 each fold checks them
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        scanned = []
+        real_scan_cells = verifier._scan_cells
+
+        def recording_scan_cells(n, *args):
+            result = real_scan_cells(n, *args)
+            scanned.append(n)
+            return result
+
+        monkeypatch.setattr(verifier, "_random_connected", crash)
+        monkeypatch.setattr(verifier, "_scan_cells", recording_scan_cells)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_full_battery(4, 8, jobs=jobs, trials=5, bridge_n_max=6)
+        assert 8 not in scanned
+        if jobs == 1:
+            assert scanned == []
 
     def test_bad_trials_fail_before_any_scan(self, monkeypatch, capsys):
         scans = []

@@ -17,20 +17,28 @@ the remaining same-parent duplicates; no memory-resident global seen-set is
 needed.  The stream order is a fixed depth-first order, identical across
 runs, and disjoint subtrees can be expanded independently by workers.
 
-Orbit skip: per parent g, the swaps of twin vertices (the ones the
-canonical search already finds) generate a subgroup H of Aut(g), and a
+Orbit skip: every parent g gets its canonical search up front, and the
+search also yields Aut(g).  Two leaves whose relabelled matrices are equal,
+placing vertices p(i) and q(i) at each position i, agree on the adjacency
+of every pair of positions, so p(i) -> q(i) is an automorphism.  Each leaf
+equal to the best one is visited, except in branches cut as the image of a
+visited branch under a twin swap, so the twin swaps and the automorphisms
+from the best leaf to each visited equal leaf generate all of Aut(g)
+(McKay, Isomorph-free exhaustive generation, J. Algorithms 26, 1998).  A
 vertex subset `sub` is tried only when it is the least integer in its
-H-orbit.  For an automorphism p with sub < p(sub), p extended by z -> z
-is an isomorphism from g+z on `sub` to g+z on p(sub).  Every acceptance
-test (degrees, deletion connectivity, refinement colours, the canonical
-forms of the deletions) is invariant under it, so the child of p(sub) is
-either rejected with the child of `sub` or dropped as a same-parent
-duplicate, and skipping it leaves the stream byte-identical.  Any subgroup
-of Aut(g) is sound; a permutation that is not an automorphism would drop
-classes.  The per-parent duplicate set stays: two accepted children from
-different orbits can still be isomorphic, since H may be smaller than
-Aut(g), and even under Aut(g) z's tie vertices may lie in different orbits
-of the child and still leave isomorphic deletions.
+Aut(g)-orbit.  For an automorphism p with sub < p(sub), p extended by
+z -> z is an isomorphism from g+z on `sub` to g+z on p(sub).  Every
+acceptance test (degrees, deletion connectivity, refinement colours, the
+canonical forms of the deletions) is invariant under it, so the child of
+p(sub) is either rejected with the child of `sub` or dropped as a
+same-parent duplicate, and skipping it leaves the stream byte-identical.
+Any subgroup of Aut(g) is sound; a permutation that is not an automorphism
+would drop classes.  The per-parent duplicate set stays: the acceptance
+test compares the forms of z's tied deletions, not the orbits of the
+child h.  If h has a vertex w that ties with z and lies outside z's
+Aut(h)-orbit while h - w is isomorphic to g (w and z pseudo-similar), an
+isomorphism h - w -> g carries w's neighbours to a subset in another
+Aut(g)-orbit, and that subset yields h again.
 
 Per parent g, the components of g - v are found once for every vertex v:
 z, joined to the subset `sub`, leaves g+z-v connected iff `sub` meets every
@@ -78,7 +86,7 @@ def _twin_reps(n: int, rows) -> list[int]:
     return rep
 
 
-def _canonical_cols(n: int, rows, colors=None) -> list[int]:
+def _canonical_cols(n: int, rows, colors=None, autos=None) -> list[int]:
     """Columns of the minimal relabelled adjacency matrix.
 
     The minimum is taken over orderings consistent with the refinement
@@ -87,7 +95,10 @@ def _canonical_cols(n: int, rows, colors=None) -> list[int]:
     isomorphic graphs still get identical columns.  cols[p] holds the
     adjacency bits of the vertex at position p to positions 0..p-1, most
     significant bit first.  `colors`, if given, is the graph's
-    `_refinement_colors`.
+    `_refinement_colors`.  `autos`, if given, is a list that receives, for
+    every leaf whose matrix equals the best leaf's, the automorphism
+    mapping the best leaf's vertex at each position to this leaf's, as a
+    list perm with perm[u] the image of u.
     """
     if n == 1:
         return [0]
@@ -102,8 +113,11 @@ def _canonical_cols(n: int, rows, colors=None) -> list[int]:
         slot_members.extend([members] * len(members))
     twin = _twin_reps(n, rows)
     best = [0] * n
+    best_at = [0] * n  # vertex at each position of the best leaf
+    path = [0] * n  # vertex at each position of the current branch
 
     def greedy_rest(pos: int, used: int, cols: list[int]) -> None:
+        best_at[:pos] = path[:pos]
         cols = cols[:]
         while pos < n:
             arg = -1
@@ -113,6 +127,7 @@ def _canonical_cols(n: int, rows, colors=None) -> list[int]:
                     m = cols[v]
                     arg = v
             best[pos] = m
+            best_at[pos] = arg
             used |= 1 << arg
             row = rows[arg]
             for v in range(n):
@@ -122,6 +137,11 @@ def _canonical_cols(n: int, rows, colors=None) -> list[int]:
 
     def dfs(pos: int, used: int, cols: list[int]) -> None:
         if pos == n:
+            if autos is not None and path != best_at:
+                perm = [0] * n
+                for u, v in zip(best_at, path):
+                    perm[u] = v
+                autos.append(perm)
             return
         members = [v for v in slot_members[pos] if not (used >> v) & 1]
         if len(members) == 1:
@@ -130,6 +150,7 @@ def _canonical_cols(n: int, rows, colors=None) -> list[int]:
                 return
             if cols[v] < best[pos]:
                 greedy_rest(pos, used, cols)
+            path[pos] = v
             row = rows[v]
             used2 = used | (1 << v)
             cols2 = [
@@ -151,6 +172,7 @@ def _canonical_cols(n: int, rows, colors=None) -> list[int]:
             if r in tried:
                 continue
             tried.add(r)
+            path[pos] = v
             row = rows[v]
             used2 = used | (1 << v)
             cols2 = [
@@ -294,16 +316,58 @@ def _twin_skips(k: int, rows) -> bytearray:
     return skip
 
 
-def _children(rows, k: int, parent_cf: list):
-    """Accepted, deduplicated one-vertex extensions of a connected parent.
+def _orbit_skips(k: int, rows, autos) -> bytearray:
+    """skip[sub] = 1 unless the vertex subset `sub` is the least integer in
+    its orbit under the group that the twin swaps and the automorphisms
+    `autos` generate."""
+    gens = list(autos)
+    for v, r in enumerate(_twin_reps(k, rows)):
+        if r != v:
+            perm = list(range(k))
+            perm[r], perm[v] = v, r
+            gens.append(perm)
+    size = 1 << k
+    images = []  # per generator: the image of every subset
+    for perm in gens:
+        image = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    skip = bytearray(size)
+    for least in range(size):
+        if skip[least]:
+            continue
+        # every subset below `least` lies in an earlier orbit, so the rest
+        # of this orbit is above it
+        stack = [least]
+        while stack:
+            s = stack.pop()
+            for image in images:
+                t = image[s]
+                if t != least and not skip[t]:
+                    skip[t] = 1
+                    stack.append(t)
+    return skip
 
-    `parent_cf` is a one-element list caching the parent's canonical form;
-    it is only filled in when a tie actually needs it.  Yields
-    (child_rows, child_canonical_or_None).
+
+def _parent_search(k: int, rows) -> tuple[bytes, bytearray]:
+    """The parent's canonical form, and its skip table under Aut(g).
+
+    The canonical search reports the automorphisms shown by its equal
+    leaves; with the twin swaps they generate Aut(g).  A parent whose
+    search reports none keeps the twin-swap table.
     """
+    autos: list[list[int]] = []
+    cf = _pack_cols(k, _canonical_cols(k, rows, None, autos))
+    return cf, (_orbit_skips(k, rows, autos) if autos else _twin_skips(k, rows))
+
+
+def _children(rows, k: int) -> Iterator[tuple[int, ...]]:
+    """Accepted, deduplicated one-vertex extensions of a connected parent."""
     deg_g = [rows[v].bit_count() for v in range(k)]
     comps = _deletion_components(rows, k)
-    skip = _twin_skips(k, rows)
+    cf_parent, skip = _parent_search(k, rows)
     z = k
     nh = k + 1
     zbit = 1 << z
@@ -340,15 +404,11 @@ def _children(rows, k: int, parent_cf: list):
             if any(colors[v] < cz for v in ties):
                 continue
             ties = [v for v in ties if colors[v] == cz]
-        if ties:
-            if parent_cf[0] is None:
-                parent_cf[0] = _canonical_bytes(k, rows)
-            cf_parent = parent_cf[0]
-            if any(
-                _canonical_bytes(k, _delete_vertex(hr, nh, v)) < cf_parent
-                for v in ties
-            ):
-                continue
+        if ties and any(
+            _canonical_bytes(k, _delete_vertex(hr, nh, v)) < cf_parent
+            for v in ties
+        ):
+            continue
 
         # accepted: dedup against same-parent siblings
         if colors is None:
@@ -359,7 +419,7 @@ def _children(rows, k: int, parent_cf: list):
         if bucket is None:
             # [rows, canonical form once needed, colours to compute it from]
             seen_fps[fp] = [[child_rows, None, colors]]
-            yield child_rows, None
+            yield child_rows
             continue
         cf_child = _canonical_bytes(nh, child_rows, colors)
         duplicate = False
@@ -371,16 +431,15 @@ def _children(rows, k: int, parent_cf: list):
                 break
         if not duplicate:
             bucket.append([child_rows, cf_child, colors])
-            yield child_rows, cf_child
+            yield child_rows
 
 
-def _expand(rows, k: int, cf: Optional[bytes], n_target: int) -> Iterator[tuple[tuple[int, ...], Optional[bytes]]]:
+def _expand(rows, k: int, n_target: int) -> Iterator[tuple[int, ...]]:
     if k == n_target:
-        yield rows, cf
+        yield rows
         return
-    parent_cf = [cf]
-    for child_rows, child_cf in _children(rows, k, parent_cf):
-        yield from _expand(child_rows, k + 1, child_cf, n_target)
+    for child_rows in _children(rows, k):
+        yield from _expand(child_rows, k + 1, n_target)
 
 
 def check_order(n: int, allow_long: bool) -> None:
@@ -395,7 +454,7 @@ def check_order(n: int, allow_long: bool) -> None:
 def connected_graphs(n: int, allow_long: bool = False) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
     check_order(n, allow_long)
-    for rows, _ in _expand((0,), 1, None, n):
+    for rows in _expand((0,), 1, n):
         yield Graph(n, rows)
 
 
@@ -415,7 +474,7 @@ def expand_seed(rows: tuple[int, ...], n_target: int) -> Iterator[Graph]:
     Expanding every class of connected_graph_list(k), k <= n_target, in list
     order reproduces the connected_graphs(n_target) stream exactly."""
     k = len(rows)
-    for child_rows, _ in _expand(rows, k, None, n_target):
+    for child_rows in _expand(rows, k, n_target):
         yield Graph(n_target, child_rows)
 
 

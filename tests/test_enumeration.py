@@ -1,17 +1,19 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from abcmax import enumeration
 from abcmax.enumeration import (
     _canonical_bytes,
+    _canonical_cols,
     _children,
     _deletion_components,
     _delete_vertex,
     _fingerprint,
     _neighbours,
+    _parent_search,
     _reconnects,
     _refinement_colors,
     _twin_reps,
@@ -71,10 +73,11 @@ def reference_refinement_colors(n: int, rows) -> list[int]:
         colors = new
 
 
-def reference_children(rows, k: int, parent_cf: list):
+def reference_children(rows, k: int):
     """`_children` without the orbit skip: every subset is tried."""
     deg_g = [rows[v].bit_count() for v in range(k)]
     comps = _deletion_components(rows, k)
+    cf_parent = _canonical_bytes(k, rows)
     z = k
     nh = k + 1
     zbit = 1 << z
@@ -109,15 +112,11 @@ def reference_children(rows, k: int, parent_cf: list):
             if any(colors[v] < cz for v in ties):
                 continue
             ties = [v for v in ties if colors[v] == cz]
-        if ties:
-            if parent_cf[0] is None:
-                parent_cf[0] = _canonical_bytes(k, rows)
-            cf_parent = parent_cf[0]
-            if any(
-                _canonical_bytes(k, _delete_vertex(hr, nh, v)) < cf_parent
-                for v in ties
-            ):
-                continue
+        if ties and any(
+            _canonical_bytes(k, _delete_vertex(hr, nh, v)) < cf_parent
+            for v in ties
+        ):
+            continue
 
         # accepted: dedup against same-parent siblings
         if colors is None:
@@ -127,7 +126,7 @@ def reference_children(rows, k: int, parent_cf: list):
         bucket = seen_fps.get(fp)
         if bucket is None:
             seen_fps[fp] = [[child_rows, None, colors]]
-            yield child_rows, None
+            yield child_rows
             continue
         cf_child = _canonical_bytes(nh, child_rows, colors)
         duplicate = False
@@ -139,7 +138,7 @@ def reference_children(rows, k: int, parent_cf: list):
                 break
         if not duplicate:
             bucket.append([child_rows, cf_child, colors])
-            yield child_rows, cf_child
+            yield child_rows
 
 
 def twin_swaps(g: Graph) -> list[list[int]]:
@@ -162,6 +161,11 @@ def maps_rows_to_rows(g: Graph, perm) -> bool:
 
 def subset_image(perm, sub: int) -> int:
     return sum(1 << perm[v] for v in _bits(sub))
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """All of Aut(g), by trying every permutation."""
+    return [perm for perm in permutations(range(g.n)) if maps_rows_to_rows(g, perm)]
 
 
 def subset_orbits(k: int, perms) -> list[frozenset]:
@@ -231,6 +235,28 @@ class TestCanonicalForm:
         assert not are_isomorphic(complete_graph(3), complete_graph(4))
 
 
+class TestReportedAutomorphisms:
+    @staticmethod
+    def check(g: Graph) -> None:
+        autos = []
+        assert _canonical_cols(g.n, g.rows, None, autos) == _canonical_cols(g.n, g.rows)
+        for perm in autos:
+            assert sorted(perm) == list(range(g.n))
+            assert maps_rows_to_rows(g, perm)
+
+    def test_every_class_n_le_7(self):
+        for n in range(1, 8):
+            for g in all_graphs(n):
+                self.check(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(11)
+        graphs = [random_graph(rng) for _ in range(2000)]
+        assert any(not is_connected(g) for g in graphs)
+        for g in graphs:
+            self.check(g)
+
+
 class TestRefinement:
     def test_equals_reference_on_every_class_n_le_7(self):
         for n in range(1, 8):
@@ -277,16 +303,46 @@ class TestOrbitSkip:
                 assert [bool(flag) for flag in _twin_skips(n, g.rows)] == [
                     sub != min(orbit) for sub, orbit in enumerate(orbits)]
 
+    def test_parent_skips_equal_full_aut_orbits_n_le_6(self):
+        # a subset is skipped exactly when some automorphism carries it to
+        # a smaller one
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                group = automorphisms(g)
+                cf, skip = _parent_search(n, g.rows)
+                assert cf == _canonical_bytes(n, g.rows)
+                assert [bool(flag) for flag in skip] == [
+                    min(subset_image(p, sub) for p in group) < sub
+                    for sub in range(1 << n)]
+
     def test_skip_count_at_order_7_parents(self):
-        skipped = sum(sum(_twin_skips(7, g.rows)) for g in connected_graph_list(7))
-        assert skipped == 28394
+        parents = connected_graph_list(7)
+        assert sum(sum(_parent_search(7, g.rows)[1]) for g in parents) == 41190
+        assert sum(sum(_twin_skips(7, g.rows)) for g in parents) == 28394
+
+    def test_every_subtree_parent_is_searched(self, monkeypatch):
+        # the skip table under Aut(g) is built for each parent of a subtree,
+        # the deepest ones included
+        seeds = connected_graph_list(7)[::40]
+        expected = [[seed.rows] + [g.rows for g in expand_seed(seed.rows, 8)] for seed in seeds]
+        searched = []
+        search = enumeration._parent_search
+
+        def recording(k, rows):
+            searched.append(rows)
+            return search(k, rows)
+
+        monkeypatch.setattr(enumeration, "_parent_search", recording)
+        for seed, parents in zip(seeds, expected):
+            searched.clear()
+            assert list(expand_seed(seed.rows, 9))
+            assert searched == parents
 
     def test_children_equal_reference(self):
         parents = [g for k in range(1, 7) for g in connected_graph_list(k)]
         parents += connected_graph_list(7)[::10]
         for g in parents:
-            assert list(_children(g.rows, g.n, [None])) == list(
-                reference_children(g.rows, g.n, [None]))
+            assert list(_children(g.rows, g.n)) == list(reference_children(g.rows, g.n))
 
 
 class TestConnectedEnumeration:
@@ -326,6 +382,15 @@ class TestConnectedEnumeration:
                 "\n".join(encode_graph6(g) for g in graphs).encode()).hexdigest() == stream
             assert hashlib.sha256(
                 b"\n".join(canonical_form(g) for g in graphs)).hexdigest() == forms
+
+    def test_order_9_sample_stream_pinned(self):
+        # every order-8 graph of these subtrees is a parent of order-9 ones
+        seeds = connected_graph_list(7)[::20]
+        stream = "\n".join(
+            encode_graph6(g) for seed in seeds for g in expand_seed(seed.rows, 9))
+        assert stream.count("\n") + 1 == 11063
+        assert hashlib.sha256(stream.encode()).hexdigest() == (
+            "daa544ef2f48bb1c9f18d68acff534e44c36b5d7d5c10e8aaee1062bb09c4be7")
 
     def test_stream_order_is_stable(self):
         first = [encode_graph6(g) for g in connected_graphs(6)]

@@ -98,7 +98,10 @@ def _canonical_cols(n: int, rows, colors=None, autos=None) -> list[int]:
     `_refinement_colors`.  `autos`, if given, is a list that receives, for
     every leaf whose matrix equals the best leaf's, the automorphism
     mapping the best leaf's vertex at each position to this leaf's, as a
-    list perm with perm[u] the image of u.
+    list perm with perm[u] the image of u.  Twins have equal columns and
+    only the least unplaced member of a twin class is tried, so every leaf
+    places the members of each twin class in vertex order, and each such
+    automorphism maps every twin class onto one in vertex order.
     """
     if n == 1:
         return [0]
@@ -290,51 +293,44 @@ def _fingerprint(n: int, rows, colors):
     return tuple(sorted(colors)), tuple(pairs)
 
 
-def _twin_skips(k: int, rows) -> bytearray:
-    """skip[sub] = 1 when swapping twins of the graph maps the vertex subset
-    `sub` to a smaller integer.
+def _orbit_skips(k: int, rows, autos) -> bytearray:
+    """skip[sub] = 1 unless the vertex subset `sub` is the least integer in
+    its orbit under the group that the twin swaps and the automorphisms
+    `autos` generate.
 
     Swapping two twins is an automorphism, and these swaps generate the full
-    symmetric group on every twin class, so the least subset of an orbit
-    holds a prefix of each class in vertex order.  A subset is skipped when
-    it holds a member b of a class but not the member a just before it.
+    symmetric group on every twin class, so the least subset of a twin-swap
+    orbit, its prefix form, holds a prefix of each class in vertex order.  A
+    subset is skipped when it holds a member b of a class but not the member
+    a just before it.  Each automorphism in `autos` must map every twin
+    class onto a twin class in vertex order, as `_canonical_cols` reports
+    them: it then maps prefix forms to prefix forms, and normalises the
+    twin-swap group, so the rest of each orbit is walked on prefix forms.
     """
-    skip = bytearray(1 << k)
+    size = 1 << k
+    skip = bytearray(size)
     last: dict[int, int] = {}
     for b, r in enumerate(_twin_reps(k, rows)):
         a = last.get(r)
         last[r] = b
         if a is None:
             continue
-        rest = (1 << k) - 1 & ~(1 << a | 1 << b)
+        rest = size - 1 & ~(1 << a | 1 << b)
         s = rest
         while True:
             skip[s | 1 << b] = 1
             if not s:
                 break
             s = (s - 1) & rest
-    return skip
-
-
-def _orbit_skips(k: int, rows, autos) -> bytearray:
-    """skip[sub] = 1 unless the vertex subset `sub` is the least integer in
-    its orbit under the group that the twin swaps and the automorphisms
-    `autos` generate."""
-    gens = list(autos)
-    for v, r in enumerate(_twin_reps(k, rows)):
-        if r != v:
-            perm = list(range(k))
-            perm[r], perm[v] = v, r
-            gens.append(perm)
-    size = 1 << k
-    images = []  # per generator: the image of every subset
-    for perm in gens:
+    if not autos:
+        return skip
+    images = []  # per automorphism: the image of every subset
+    for perm in autos:
         image = [0] * size
         for s in range(1, size):
             low = s & -s
             image[s] = image[s ^ low] | 1 << perm[low.bit_length() - 1]
         images.append(image)
-    skip = bytearray(size)
     for least in range(size):
         if skip[least]:
             continue
@@ -355,12 +351,11 @@ def _parent_search(k: int, rows) -> tuple[bytes, bytearray]:
     """The parent's canonical form, and its skip table under Aut(g).
 
     The canonical search reports the automorphisms shown by its equal
-    leaves; with the twin swaps they generate Aut(g).  A parent whose
-    search reports none keeps the twin-swap table.
+    leaves; with the twin swaps they generate Aut(g).
     """
     autos: list[list[int]] = []
     cf = _pack_cols(k, _canonical_cols(k, rows, None, autos))
-    return cf, (_orbit_skips(k, rows, autos) if autos else _twin_skips(k, rows))
+    return cf, _orbit_skips(k, rows, autos)
 
 
 def _children(rows, k: int) -> Iterator[tuple[int, ...]]:

@@ -13,11 +13,11 @@ from abcmax.enumeration import (
     _delete_vertex,
     _fingerprint,
     _neighbours,
+    _orbit_skips,
     _parent_search,
     _reconnects,
     _refinement_colors,
     _twin_reps,
-    _twin_skips,
     all_graphs,
     are_isomorphic,
     canonical_form,
@@ -152,6 +152,14 @@ def twin_swaps(g: Graph) -> list[list[int]]:
     return swaps
 
 
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The twin classes of g, each in vertex order."""
+    classes: dict[int, list[int]] = {}
+    for v, r in enumerate(_twin_reps(g.n, g.rows)):
+        classes.setdefault(r, []).append(v)
+    return list(classes.values())
+
+
 def maps_rows_to_rows(g: Graph, perm) -> bool:
     image = [0] * g.n
     for u, row in enumerate(g.rows):
@@ -240,9 +248,13 @@ class TestReportedAutomorphisms:
     def check(g: Graph) -> None:
         autos = []
         assert _canonical_cols(g.n, g.rows, None, autos) == _canonical_cols(g.n, g.rows)
+        classes = twin_classes(g)
         for perm in autos:
             assert sorted(perm) == list(range(g.n))
             assert maps_rows_to_rows(g, perm)
+            # each twin class onto a twin class, in vertex order
+            for members in classes:
+                assert [perm[v] for v in members] in classes
 
     def test_every_class_n_le_7(self):
         for n in range(1, 8):
@@ -295,12 +307,12 @@ class TestOrbitSkip:
                     assert maps_rows_to_rows(g, perm)
 
     def test_skips_equal_brute_force_n_le_6(self):
-        # a subset is skipped exactly when the twin swaps carry it to a
-        # smaller one
+        # with no reported automorphisms, a subset is skipped exactly when
+        # the twin swaps carry it to a smaller one
         for n in range(1, 7):
             for g in connected_graph_list(n):
                 orbits = subset_orbits(n, twin_swaps(g))
-                assert [bool(flag) for flag in _twin_skips(n, g.rows)] == [
+                assert [bool(flag) for flag in _orbit_skips(n, g.rows, [])] == [
                     sub != min(orbit) for sub, orbit in enumerate(orbits)]
 
     def test_parent_skips_equal_full_aut_orbits_n_le_6(self):
@@ -318,7 +330,7 @@ class TestOrbitSkip:
     def test_skip_count_at_order_7_parents(self):
         parents = connected_graph_list(7)
         assert sum(sum(_parent_search(7, g.rows)[1]) for g in parents) == 41190
-        assert sum(sum(_twin_skips(7, g.rows)) for g in parents) == 28394
+        assert sum(sum(_orbit_skips(7, g.rows, [])) for g in parents) == 28394
 
     def test_every_subtree_parent_is_searched(self, monkeypatch):
         # the skip table under Aut(g) is built for each parent of a subtree,

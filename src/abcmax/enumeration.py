@@ -5,15 +5,19 @@ the adjacency matrix over all vertex orderings (column-major, the graph6
 bit order), found by branch-and-bound with twin skipping.  Two graphs are
 isomorphic iff their forms agree.
 
-Refinement: iterated degree refinement.  Each round refines the partition
-of the round before, so the first round that splits no class is stable and
-its colours are final; refinement returns there.
+Refinement: iterated degree refinement.  A round's key starts with the old
+colour, so each round refines the partition of the round before and keeps
+its order: c_r(u) < c_r(v) implies c_{r+1}(u) < c_{r+1}(v).  The first
+round that splits no class is stable and its colours are final;
+refinement stops there.
 
 Generation: one representative per isomorphism class of connected graphs,
-grown one vertex at a time.  A child g+z is kept only when deleting z yields
-the same parent class as deleting the canonically-chosen vertex, so each
-class is produced from exactly one parent and a small per-parent set removes
-the remaining same-parent duplicates; no memory-resident global seen-set is
+grown one vertex at a time.  A child h = g+z is kept only when z passes the
+acceptance test: among the vertices v whose deletion leaves h connected, z
+has the least degree, then the least stable colour, then the least
+canonical form of h - v (h - z is g itself).  Whether a vertex passes
+depends only on h up to isomorphism, so each class is produced from
+exactly one parent class, and no memory-resident global seen-set is
 needed.  The stream order is a fixed depth-first order, identical across
 runs, and disjoint subtrees can be expanded independently by workers.
 
@@ -27,24 +31,39 @@ from the best leaf to each visited equal leaf generate all of Aut(g)
 (McKay, Isomorph-free exhaustive generation, J. Algorithms 26, 1998).  A
 vertex subset `sub` is tried only when it is the least integer in its
 Aut(g)-orbit.  For an automorphism p with sub < p(sub), p extended by
-z -> z is an isomorphism from g+z on `sub` to g+z on p(sub).  Every
-acceptance test (degrees, deletion connectivity, refinement colours, the
-canonical forms of the deletions) is invariant under it, so the child of
-p(sub) is either rejected with the child of `sub` or dropped as a
-same-parent duplicate, and skipping it leaves the stream byte-identical.
-Any subgroup of Aut(g) is sound; a permutation that is not an automorphism
-would drop classes.  The per-parent duplicate set stays: the acceptance
-test compares the forms of z's tied deletions, not the orbits of the
-child h.  If h has a vertex w that ties with z and lies outside z's
-Aut(h)-orbit while h - w is isomorphic to g (w and z pseudo-similar), an
-isomorphism h - w -> g carries w's neighbours to a subset in another
+z -> z is an isomorphism from g+z on `sub` to g+z on p(sub), and the test
+is invariant under it, so the child of p(sub) is a copy of the child of
+`sub`, and skipping it leaves the stream byte-identical.  The table must
+hold all of Aut(g), not just a subgroup: the dedup below relies on it, and
+with the twin swaps alone orders 5, 6 and 8 yield 22, 132 and 18 573
+graphs in place of 21, 112 and 11 117.  A permutation that is not an
+automorphism would drop classes.
+
+Dedup: two accepted siblings h and h' can still be isomorphic.  Let
+phi: h' -> h be an isomorphism.  phi maps z to a vertex of h that passes
+the test.  When no tie of z has h - w equal to g, z is the only such
+vertex, so phi fixes z, and phi restricted to g is an automorphism of g
+carrying the subset of h' to the subset of h.  Only the least subset of
+that Aut(g)-orbit is tried, so h' = h, and such a child is yielded with no
+dedup.  A child with a tie w whose deletion is another copy of g has at
+least two vertices that pass, so it can only repeat a sibling of the same
+kind, and only these go through the per-parent set, keyed by a fingerprint
+of the stable colours and compared by canonical form.  Such a w can lie
+outside z's Aut(h)-orbit (w and z pseudo-similar): an isomorphism
+h - w -> g then carries w's neighbours to a subset in another
 Aut(g)-orbit, and that subset yields h again.
 
 Per parent g, the components of g - v are found once for every vertex v:
 z, joined to the subset `sub`, leaves g+z-v connected iff `sub` meets every
-one of them, so no child is searched to test a deletion.  Each candidate
-child is refined at most once; its canonical form, needed only when a
-sibling shares its fingerprint, reuses those colours.
+one of them, so no child is searched to test a deletion.  The ties of z
+(equal degree, deletion connected) are decided round by round: the child
+is rejected as soon as a tie has a smaller colour than z, and the ties
+with a larger colour drop out, since colour order holds in every later
+round.  When none is left, z wins on colour and refinement stops there.
+Only a child whose ties still share z's class at the fixed point is
+refined to the end, and compared by its deletions' forms; if it can
+repeat, its stable colours give the fingerprint and its own canonical
+form.
 """
 
 from __future__ import annotations
@@ -228,11 +247,13 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return _canonical_bytes(g.n, g.rows) == _canonical_bytes(h.n, h.rows)
 
 
-def _refinement_colors(n: int, rows) -> list[int]:
-    # iterated degree refinement; final ids order vertices by an
-    # isomorphism-invariant key, so they compare consistently across copies.
-    # A round's key starts with the old colour, so it refines the old
-    # partition; a round that splits no class has reached the fixed point.
+def _refinement_rounds(rows) -> Iterator[list[int]]:
+    # iterated degree refinement, one list of colours per round, starting
+    # from the degrees; ids order vertices by an isomorphism-invariant key,
+    # so they compare consistently across copies.  A round's key starts
+    # with the old colour, so it refines the old partition and keeps its
+    # order; a round that splits no class has reached the fixed point and
+    # is the last one yielded.
     nbrs = [_neighbours(row) for row in rows]
     colors = [len(nb) for nb in nbrs]
     count = len(set(colors))
@@ -241,9 +262,38 @@ def _refinement_colors(n: int, rows) -> list[int]:
         keys = [(c, tuple(sorted(map(get, nb)))) for c, nb in zip(colors, nbrs)]
         rank = {key: i for i, key in enumerate(sorted(set(keys)))}
         colors = [rank[key] for key in keys]
+        yield colors
         if len(rank) == count:
-            return colors
+            return
         count = len(rank)
+
+
+def _refinement_colors(n: int, rows) -> list[int]:
+    """The stable colours of degree refinement."""
+    for colors in _refinement_rounds(rows):
+        pass
+    return colors
+
+
+def _decide_ties(rows, z: int, ties: list[int]):
+    """Compare z's refinement colour with its tied vertices', round by round.
+
+    Returns None as soon as a tie has a smaller colour than z.  Otherwise
+    returns (ties, colors): the ties that share z's stable colour, and the
+    stable colours if that list is not empty.  The list is empty, and
+    colors None, from the first round where no tie shares z's colour.
+    Refinement keeps colour order, so a colour smaller or larger than z's
+    stays so in every later round, and the verdict equals filtering the
+    ties by the stable colours.
+    """
+    for colors in _refinement_rounds(rows):
+        cz = colors[z]
+        if any(colors[v] < cz for v in ties):
+            return None
+        ties = [v for v in ties if colors[v] == cz]
+        if not ties:
+            return ties, None
+    return ties, colors
 
 
 def _deletion_components(rows, k: int) -> list[list[int]]:
@@ -390,26 +440,32 @@ def _children(rows, k: int) -> Iterator[tuple[int, ...]]:
         for v in _neighbours(sub):
             hr[v] |= zbit
         hr.append(sub)
-        colors = None
         if ties:
             ties = [v for v in ties if _reconnects(comps[v], sub)]
         if ties:
-            colors = _refinement_colors(nh, hr)
-            cz = colors[z]
-            if any(colors[v] < cz for v in ties):
+            decided = _decide_ties(hr, z, ties)
+            if decided is None:
                 continue
-            ties = [v for v in ties if colors[v] == cz]
-        if ties and any(
-            _canonical_bytes(k, _delete_vertex(hr, nh, v)) < cf_parent
-            for v in ties
-        ):
+            ties, colors = decided
+        repeats = False
+        for v in ties:
+            form = _canonical_bytes(k, _delete_vertex(hr, nh, v))
+            if form < cf_parent:
+                rejected = True
+                break
+            repeats = repeats or form == cf_parent
+        if rejected:
             continue
 
-        # accepted: dedup against same-parent siblings
-        if colors is None:
-            colors = _refinement_colors(nh, hr)
-        fp = _fingerprint(nh, hr, colors)
         child_rows = tuple(hr)
+        if not repeats:
+            # z is the only vertex of h that passes the test, so no
+            # sibling is isomorphic to h (module docstring, "Dedup")
+            yield child_rows
+            continue
+        # accepted with a tie w where h - w is another copy of g: dedup
+        # against the same-parent siblings that have one too
+        fp = _fingerprint(nh, hr, colors)
         bucket = seen_fps.get(fp)
         if bucket is None:
             # [rows, canonical form once needed, colours to compute it from]

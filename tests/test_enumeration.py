@@ -9,6 +9,7 @@ from abcmax.enumeration import (
     _canonical_bytes,
     _canonical_cols,
     _children,
+    _decide_ties,
     _deletion_components,
     _delete_vertex,
     _fingerprint,
@@ -284,6 +285,54 @@ class TestRefinement:
             assert _refinement_colors(g.n, g.rows) == reference_refinement_colors(g.n, g.rows)
 
 
+def reference_tie_decision(n: int, rows, z: int, ties: list[int]):
+    """Refine to the fixed point, then filter the ties by z's colour."""
+    colors = reference_refinement_colors(n, rows)
+    if any(colors[v] < colors[z] for v in ties):
+        return None
+    ties = [v for v in ties if colors[v] == colors[z]]
+    return ties, (colors if ties else None)
+
+
+class TestTieDecision:
+    @staticmethod
+    def check(n: int, rows, z: int, ties: list[int], verdicts: dict) -> None:
+        decided = _decide_ties(rows, z, ties)
+        assert decided == reference_tie_decision(n, rows, z, ties)
+        kind = "reject" if decided is None else "tied" if decided[0] else "won"
+        verdicts[kind] = verdicts.get(kind, 0) + 1
+
+    def test_every_candidate_of_every_class_n_le_6(self):
+        # z joined to every subset of every connected parent, tied with
+        # every vertex of its degree
+        verdicts: dict = {}
+        for k in range(1, 7):
+            for g in connected_graph_list(k):
+                for sub in range(1, 1 << k):
+                    hr = list(g.rows)
+                    for v in _bits(sub):
+                        hr[v] |= 1 << k
+                    hr.append(sub)
+                    dz = sub.bit_count()
+                    ties = [v for v in range(k) if hr[v].bit_count() == dz]
+                    if ties:
+                        self.check(k + 1, hr, k, ties, verdicts)
+        assert min(verdicts.get(kind, 0) for kind in ("reject", "tied", "won")) > 100
+
+    def test_random_graphs(self):
+        rng = random.Random(13)
+        verdicts: dict = {}
+        for _ in range(3000):
+            g = random_graph(rng)
+            z = rng.randrange(g.n)
+            dz = g.rows[z].bit_count()
+            ties = [v for v in range(g.n)
+                    if v != z and g.rows[v].bit_count() == dz and rng.random() < 0.7]
+            if ties:
+                self.check(g.n, g.rows, z, ties, verdicts)
+        assert min(verdicts.get(kind, 0) for kind in ("reject", "tied", "won")) > 100
+
+
 class TestDeletionComponents:
     def test_matches_explicit_child(self):
         for k in range(1, 7):
@@ -355,6 +404,36 @@ class TestOrbitSkip:
         parents += connected_graph_list(7)[::10]
         for g in parents:
             assert list(_children(g.rows, g.n)) == list(reference_children(g.rows, g.n))
+
+
+class TestDedup:
+    def test_fingerprints_only_children_that_can_repeat(self, monkeypatch):
+        # a child is fingerprinted only when a tie's deletion is another
+        # copy of its parent; 11 117 calls without that rule
+        calls = []
+        fingerprint = enumeration._fingerprint
+
+        def counting(*args):
+            calls.append(args)
+            return fingerprint(*args)
+
+        monkeypatch.setattr(enumeration, "_fingerprint", counting)
+        parents = connected_graph_list(7)
+        assert sum(1 for g in parents for _ in _children(g.rows, 7)) == 11117
+        assert len(calls) == 2170
+
+    def test_twin_only_skip_table_repeats_classes(self, monkeypatch):
+        # the dedup elision needs the skip table of all of Aut(g): with the
+        # twin swaps alone, isomorphic siblings both pass
+        search = enumeration._parent_search
+
+        def twin_only(k, rows):
+            return search(k, rows)[0], _orbit_skips(k, rows, [])
+
+        monkeypatch.setattr(enumeration, "_parent_search", twin_only)
+        forms = [canonical_form(g) for g in connected_graphs(6)]
+        assert len(forms) != CONNECTED_COUNTS[6]
+        assert len(set(forms)) < len(forms)
 
 
 class TestConnectedEnumeration:

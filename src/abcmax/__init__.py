@@ -57,9 +57,7 @@ from .graphs import (
 from .invariants import abc_index, abc_index_decimal, edge_sum, f_abc
 from .verifier import (
     ConstraintSpec,
-    ExtremalResult,
     Report,
-    find_maximizer,
     run_campaign,
     run_full_battery,
     verify_bridge_rewrite,

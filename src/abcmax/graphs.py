@@ -9,6 +9,7 @@ argument, so published graphs are safe to share across workers.
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterator, Optional
 
 MAX_VERTICES = 4096
@@ -228,29 +229,34 @@ def is_connected(g: Graph) -> bool:
 # per byte MSB-first, zero-padded, each byte offset by 63.
 
 _G6_OPTIONAL_PREFIX = ">>graph6<<"
+# base64 cuts bytes into the same big-endian 6-bit groups; only the alphabet differs
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
+
+
+def _graph6(n: int, bits: int) -> bytes:
+    """graph6 of the order-n graph whose upper triangle, in column-major
+    order, is the n(n-1)/2 bits of `bits`, the first pair most significant."""
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    groups = (nbytes + 3) // 4  # 3 bytes in, 4 graph6 bytes out
+    raw = (bits << (24 * groups - npairs)).to_bytes(3 * groups, "big")
+    body = binascii.b2a_base64(raw, newline=False).translate(_BASE64_TO_G6)[:nbytes]
+    if n <= 62:
+        return bytes((63 + n,)) + body
+    return bytes((126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63))) + body
 
 
 def encode_graph6(g: Graph) -> str:
-    n = g.n
-    if n <= 62:
-        out = [chr(63 + n)]
-    else:
-        out = ["~", chr(63 + ((n >> 12) & 63)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
-    acc = 0
-    nbits = 0
+    # bit i of rows[j] is pair (i, j): lay the columns out first pair
+    # lowest, then reverse the string so that the first pair leads
     rows = g.rows
-    for j in range(1, n):
-        col = rows[j] & ((1 << j) - 1)
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    low_first = 0
+    npairs = 0
+    for j in range(1, g.n):
+        low_first |= (rows[j] & ((1 << j) - 1)) << npairs
+        npairs += j
+    return _graph6(g.n, int(format(low_first, f"0{npairs}b")[::-1], 2)).decode()
 
 
 def decode_graph6(text: str) -> Graph:

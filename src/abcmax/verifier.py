@@ -43,7 +43,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from multiprocessing import get_context
 from typing import Iterable, Optional, Sequence
@@ -127,44 +127,6 @@ def cell_bound(n: int, c: ConstraintSpec):
         if n % c.value == 0:
             return "chromatic_bound", bounds.chromatic_bound(n, c.value)
     return None, None
-
-
-@dataclass
-class ExtremalResult:
-    n: int
-    constraint: ConstraintSpec
-    scanned: int
-    max_value: Optional[float]
-    maximizers: list[str]
-    predicted: Optional[str]
-    matches: Optional[bool]
-    near_ties: list[dict]
-    runner_up_gap: Optional[float]
-    cell_class: str
-    verdict: Optional[str]
-    bound_name: Optional[str]
-    bound: Optional[float]
-    reverified: Optional[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "campaign": _KIND_TO_CAMPAIGN[self.constraint.kind],
-            "n": self.n,
-            "kind": self.constraint.kind,
-            "value": self.constraint.value,
-            "cell_class": self.cell_class,
-            "scanned": self.scanned,
-            "max_value": self.max_value,
-            "maximizers": self.maximizers,
-            "predicted": self.predicted,
-            "matches": self.matches,
-            "verdict": self.verdict,
-            "near_ties": self.near_ties,
-            "runner_up_gap": self.runner_up_gap,
-            "bound_name": self.bound_name,
-            "bound": self.bound,
-            "reverified": self.reverified,
-        }
 
 
 _KIND_TO_CAMPAIGN = {
@@ -335,7 +297,7 @@ def _scan_subtree(task):
 def _scan_cells(
     n: int, constraints: Sequence[ConstraintSpec], seeds: Sequence[Graph], pool, jobs: int,
     runs=(),
-) -> tuple[list["ExtremalResult"], int]:
+) -> tuple[list[dict], int]:
     """Every cell of order n.  `seeds` are the classes of order
     min(n, SEED_DEPTH): up to SEED_DEPTH they are the stream itself, above
     it the roots of the subtrees, which go to `pool` when there is one.
@@ -359,8 +321,7 @@ def _scan_cells(
         streamed += count
         for a, p in zip(accums, parts):
             a.merge(p)
-    results = [_finalize_cell(n, c, a) for c, a in zip(constraints, accums)]
-    return results, streamed
+    return [_finalize_cell(n, c, a) for c, a in zip(constraints, accums)], streamed
 
 
 def _reverify(g: Graph, c: ConstraintSpec) -> bool:
@@ -371,54 +332,52 @@ def _reverify(g: Graph, c: ConstraintSpec) -> bool:
     return chromatic_number(g).chi == c.value
 
 
-def _finalize_cell(n: int, c: ConstraintSpec, accum: _Accum) -> ExtremalResult:
+def _finalize_cell(n: int, c: ConstraintSpec, accum: _Accum) -> dict:
+    """The report cell of one (n, constraint) scan."""
     klass = cell_class(n, c)
     bname, bval = cell_bound(n, c)
     pred = predicted_graph(n, c)
-    pred_g6 = encode_graph6(pred) if pred is not None else None
-    if accum.scanned == 0:
-        return ExtremalResult(
-            n, c, 0, None, [], pred_g6, None, [], None, klass,
-            None if klass == "must-match" else "vacuous", bname, bval, None,
-        )
-    decimals = {g6: abc_index_decimal(decode_graph6(g6), TIE_DIGITS) for _, g6 in accum.cands}
-    vmax = max(decimals.values())
-    maximizers = sorted(g6 for g6, d in decimals.items() if vmax - d <= TIE_TOL)
-    near = [
-        {"g6": g6, "value": float(d), "gap": float(vmax - d)}
-        for g6, d in decimals.items()
-        if vmax - d > TIE_TOL
-    ]
-    near.sort(key=lambda e: (e["gap"], e["g6"]))
-    runner_values = [e["value"] for e in near]
-    if accum.runner_up is not None:
-        runner_values.append(accum.runner_up)
-    runner_up_gap = accum.best - max(runner_values) if runner_values else None
-    matches: Optional[bool] = None
-    if pred is not None:
-        matches = len(maximizers) == 1 and are_isomorphic(decode_graph6(maximizers[0]), pred)
-    reverified = all(_reverify(decode_graph6(g6), c) for g6 in maximizers)
-    verdict = None
-    if klass == "evidence":
-        verdict = "confirmed" if matches else "refuted"
-    return ExtremalResult(
-        n, c, accum.scanned, accum.best, maximizers, pred_g6, matches, near,
-        runner_up_gap, klass, verdict, bname, bval, reverified,
-    )
-
-
-def find_maximizer(
-    n: int,
-    constraint: ConstraintSpec,
-    jobs: int = 1,
-    allow_long: bool = False,
-) -> ExtremalResult:
-    """Scan one (n, constraint) cell exhaustively."""
-    check_order(n, allow_long)
-    seeds = connected_graph_list(min(n, SEED_DEPTH))
-    with _fork_pool(jobs, n > SEED_DEPTH) as pool:
-        results, _ = _scan_cells(n, [constraint], seeds, pool, jobs)
-    return results[0]
+    maximizers: list[str] = []
+    near: list[dict] = []
+    runner_up_gap = matches = reverified = None
+    verdict = None if klass == "must-match" else "vacuous"
+    if accum.scanned:  # an empty cell has no match, so a must-match one fails
+        decimals = {g6: abc_index_decimal(decode_graph6(g6), TIE_DIGITS) for _, g6 in accum.cands}
+        vmax = max(decimals.values())
+        maximizers = sorted(g6 for g6, d in decimals.items() if vmax - d <= TIE_TOL)
+        near = [
+            {"g6": g6, "value": float(d), "gap": float(vmax - d)}
+            for g6, d in decimals.items()
+            if vmax - d > TIE_TOL
+        ]
+        near.sort(key=lambda e: (e["gap"], e["g6"]))
+        runner_values = [e["value"] for e in near]
+        if accum.runner_up is not None:
+            runner_values.append(accum.runner_up)
+        runner_up_gap = accum.best - max(runner_values) if runner_values else None
+        if pred is not None:
+            matches = len(maximizers) == 1 and are_isomorphic(decode_graph6(maximizers[0]), pred)
+        reverified = all(_reverify(decode_graph6(g6), c) for g6 in maximizers)
+        if klass == "evidence":
+            verdict = "confirmed" if matches else "refuted"
+    return {
+        "campaign": _KIND_TO_CAMPAIGN[c.kind],
+        "n": n,
+        "kind": c.kind,
+        "value": c.value,
+        "cell_class": klass,
+        "scanned": accum.scanned,
+        "max_value": accum.best,
+        "maximizers": maximizers,
+        "predicted": encode_graph6(pred) if pred is not None else None,
+        "matches": matches,
+        "verdict": verdict,
+        "near_ties": near,
+        "runner_up_gap": runner_up_gap,
+        "bound_name": bname,
+        "bound": bval,
+        "reverified": reverified,
+    }
 
 
 @dataclass
@@ -430,25 +389,11 @@ class Report:
     schema_version: str = SCHEMA_VERSION
 
     def to_json(self) -> str:
-        payload = {
-            "campaign": self.campaign,
-            "cells": self.cells,
-            "parameters": self.parameters,
-            "schema_version": self.schema_version,
-            "totals": self.totals,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
-        return cls(
-            campaign=data["campaign"],
-            parameters=data["parameters"],
-            cells=data["cells"],
-            totals=data["totals"],
-            schema_version=data["schema_version"],
-        )
+        return cls(**json.loads(text))
 
     CSV_COLUMNS = [
         "campaign", "kind", "n", "value", "cell_class", "scanned", "max_value",
@@ -530,7 +475,7 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
         for n, constraints, seeds in plans:
             results, streamed = _scan_cells(n, constraints, seeds, pool, jobs, runs)
             graphs_scanned += streamed * len({c.kind for c in constraints})
-            cells.extend(r.to_dict() for r in results)
+            cells.extend(results)
         cells.sort(key=lambda cell: campaigns.index(cell["campaign"]))
         for report in reports + [run.get() for run in runs]:
             cells += report.cells
@@ -545,9 +490,10 @@ def run_campaign(
     jobs: int = 1,
     allow_long: bool = False,
 ) -> Report:
-    """One ExtremalResult cell per (n, value); cells of equal n share a scan.
+    """One cell per (n, value); cells of equal n share a scan.
 
-    A selection that gives no cell at any order raises ValueError.
+    This is the library's way to scan cells.  A selection that gives no cell
+    at any order raises ValueError.
     """
     if campaign not in _CAMPAIGN_TO_KIND:
         raise ValueError(f"unknown campaign {campaign!r}")

@@ -4,6 +4,7 @@ import multiprocessing
 
 import pytest
 
+from abcmax import cli
 from abcmax.cli import main
 from abcmax.graphs import (
     bridge_cliques_graph,
@@ -74,6 +75,25 @@ class TestInvariants:
         assert len(lines) == 2
         assert json.loads(lines[0])["chromatic_number"] == 3
 
+    def test_long_cycle(self, capsys, monkeypatch):
+        # C_1501 needs more colouring steps than the default recursion
+        # limit; its two flows take about 20 s (2 cores, Python 3.11), so
+        # lambda and kappa, both 2 on a cycle, are stubbed
+        monkeypatch.setattr(cli, "edge_connectivity", lambda g: 2)
+        monkeypatch.setattr(cli, "vertex_connectivity", lambda g: 2)
+        code, out, _ = run_cli(capsys, "construct", "--family", "cycle", "--n", "1501")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code, out, err = run_cli(capsys, "invariants")
+        assert code == 0, err
+        info = json.loads(out)
+        assert info["chromatic_number"] == 3 and info["m"] == 1501
+
+    def test_negative_precision_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "invariants", "--g6", "C~", "--precision", "-1")
+        assert code == 2 and out == ""
+        assert "--precision" in err
+
 
 class TestEnumerate:
     def test_connected_count(self, capsys):
@@ -109,6 +129,12 @@ class TestBound:
                                "--precision", "12")
         assert code == 0
         assert out.strip() == "4.242640687119"
+
+    def test_negative_precision_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--which", "thm2", "--n", "5",
+                                 "--precision", "-1")
+        assert code == 2 and out == ""
+        assert "--precision" in err
 
     def test_cs(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--which", "cs", "--parts", "1,2,3")

@@ -134,6 +134,15 @@ class TestChromaticNumber:
         assert res.chi == 4
         assert_proper(g, res.witness, 4)
 
+    def test_long_cycles_beyond_the_recursion_limit(self):
+        # the search keeps one stack entry per coloured vertex, more than
+        # the interpreter's default recursion limit of 1000
+        for n in (1001, 1501):
+            g = cycle_graph(n)
+            res = chromatic_number(g)
+            assert res.chi == 3
+            assert_proper(g, res.witness, 3)
+
     def test_turan_chi_equals_parts(self):
         for n in range(1, 31):
             for l in range(1, n + 1):

@@ -6,7 +6,6 @@ import pytest
 
 from abcmax import enumeration
 from abcmax.enumeration import (
-    _canonical_bytes,
     _canonical_cols,
     _children,
     _decide_ties,
@@ -74,11 +73,21 @@ def reference_refinement_colors(n: int, rows) -> list[int]:
         colors = new
 
 
+def compare_forms(g: Graph, h: Graph) -> tuple[bool, bool]:
+    """(g's form < h's, g's form == h's) by `canonical_form` bytes, checked
+    against the comparison of the `_canonical_cols` lists."""
+    a, b = canonical_form(g), canonical_form(h)
+    cols_a, cols_b = _canonical_cols(g.n, g.rows), _canonical_cols(h.n, h.rows)
+    assert (cols_a < cols_b, cols_a == cols_b) == (a < b, a == b)
+    return a < b, a == b
+
+
 def reference_children(rows, k: int):
-    """`_children` without the orbit skip: every subset is tried."""
+    """`_children` without the orbit skip: every subset is tried, and forms
+    are compared as graph6 bytes."""
+    parent = Graph(k, rows)
     deg_g = [rows[v].bit_count() for v in range(k)]
     comps = _deletion_components(rows, k)
-    cf_parent = _canonical_bytes(k, rows)
     z = k
     nh = k + 1
     zbit = 1 << z
@@ -114,7 +123,7 @@ def reference_children(rows, k: int):
                 continue
             ties = [v for v in ties if colors[v] == cz]
         if ties and any(
-            _canonical_bytes(k, _delete_vertex(hr, nh, v)) < cf_parent
+            compare_forms(Graph(k, _delete_vertex(hr, nh, v)), parent)[0]
             for v in ties
         ):
             continue
@@ -122,24 +131,11 @@ def reference_children(rows, k: int):
         # accepted: dedup against same-parent siblings
         if colors is None:
             colors = _refinement_colors(nh, hr)
-        fp = _fingerprint(nh, hr, colors)
-        child_rows = tuple(hr)
-        bucket = seen_fps.get(fp)
-        if bucket is None:
-            seen_fps[fp] = [[child_rows, None, colors]]
-            yield child_rows
-            continue
-        cf_child = _canonical_bytes(nh, child_rows, colors)
-        duplicate = False
-        for entry in bucket:
-            if entry[1] is None:
-                entry[1] = _canonical_bytes(nh, entry[0], entry[2])
-            if entry[1] == cf_child:
-                duplicate = True
-                break
-        if not duplicate:
-            bucket.append([child_rows, cf_child, colors])
-            yield child_rows
+        child = Graph(nh, tuple(hr))
+        bucket = seen_fps.setdefault(_fingerprint(nh, hr, colors), [])
+        if not any(compare_forms(child, other)[1] for other in bucket):
+            bucket.append(child)
+            yield child.rows
 
 
 def twin_swaps(g: Graph) -> list[list[int]]:
@@ -194,6 +190,11 @@ def subset_orbits(k: int, perms) -> list[frozenset]:
     return orbits
 
 
+def random_graph_of_order(rng: random.Random, n: int) -> Graph:
+    p = rng.random()
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
 def random_graph(rng: random.Random) -> Graph:
     """Any density, sometimes split in two parts, sometimes with isolated vertices."""
     n = rng.randint(1, 16)
@@ -233,6 +234,19 @@ class TestCanonicalForm:
                 perm = list(range(g.n))
                 rng.shuffle(perm)
                 assert canonical_form(permuted(g, perm)) == base
+
+    def test_column_order_is_graph6_byte_order(self):
+        # column j holds j bits, so comparing the lists of two graphs of one
+        # order compares their concatenated bit strings
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(3000):
+            n = rng.randint(1, 10)
+            g = random_graph_of_order(rng, n)
+            h = random_graph_of_order(rng, n) if rng.random() < 0.8 else \
+                permuted(g, rng.sample(range(n), n))
+            outcomes.add(compare_forms(g, h))
+        assert outcomes == {(True, False), (False, True), (False, False)}
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
@@ -371,7 +385,7 @@ class TestOrbitSkip:
             for g in all_graphs(n):
                 group = automorphisms(g)
                 cf, skip = _parent_search(n, g.rows)
-                assert cf == _canonical_bytes(n, g.rows)
+                assert cf == _canonical_cols(n, g.rows)
                 assert [bool(flag) for flag in skip] == [
                     min(subset_image(p, sub) for p in group) < sub
                     for sub in range(1 << n)]

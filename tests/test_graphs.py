@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,6 +206,19 @@ class TestGraph6:
         # path on 3 vertices has 3 pair bits; set a padding bit
         with pytest.raises(Graph6Error):
             decode_graph6("B" + chr(63 + 0b101001))
+
+    def test_equals_networkx(self):
+        # an independent writer; orders above 62 take the four-byte header
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(19)
+        for n in range(1, 101):
+            for p in (rng.random(), 0.5):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+                ref = nx.Graph()
+                ref.add_nodes_from(range(n))
+                ref.add_edges_from(edges)
+                expected = nx.to_graph6_bytes(ref, header=False).strip().decode()
+                assert encode_graph6(Graph.from_edges(n, edges)) == expected
 
     @given(graphs(max_n=32))
     @settings(max_examples=200, deadline=None)

@@ -31,7 +31,6 @@ from abcmax.verifier import (
     ConstraintSpec,
     Report,
     cell_class,
-    find_maximizer,
     predicted_graph,
     run_campaign,
     run_full_battery,
@@ -72,50 +71,65 @@ class TestConstraintSpec:
         assert cell_class(7, ConstraintSpec("vertex_connectivity_eq", 3)) == "must-match"
 
 
+def one_cell(campaign: str, n: int, value: int) -> dict:
+    cell, = run_campaign(campaign, [n], [value]).cells
+    return cell
+
+
 class TestFindMaximizer:
+    """The maximizer of one cell, as `run_campaign` reports it."""
+
     def test_n5_lambda1(self):
-        r = find_maximizer(5, ConstraintSpec("edge_connectivity_eq", 1))
-        assert r.scanned == 10
-        assert r.max_value == pytest.approx(4.802517076888147, abs=1e-12)
-        assert len(r.maximizers) == 1
-        assert are_isomorphic(decode_graph6(r.maximizers[0]), kn_k_graph(5, 1))
-        assert r.matches is True
-        assert r.runner_up_gap is not None and r.runner_up_gap > 1e-9
-        assert r.reverified is True
+        r = one_cell("edge-conn", 5, 1)
+        assert r["scanned"] == 10
+        assert r["max_value"] == pytest.approx(4.802517076888147, abs=1e-12)
+        assert len(r["maximizers"]) == 1
+        assert are_isomorphic(decode_graph6(r["maximizers"][0]), kn_k_graph(5, 1))
+        assert r["matches"] is True
+        assert r["runner_up_gap"] is not None and r["runner_up_gap"] > 1e-9
+        assert r["reverified"] is True
 
     def test_n6_lambda3_equals_bound(self):
-        r = find_maximizer(6, ConstraintSpec("edge_connectivity_eq", 3))
-        assert r.matches is True
-        assert r.max_value == pytest.approx(7.756443176504305, abs=1e-12)
-        assert r.bound == pytest.approx(r.max_value, abs=1e-9)
+        r = one_cell("edge-conn", 6, 3)
+        assert r["matches"] is True
+        assert r["max_value"] == pytest.approx(7.756443176504305, abs=1e-12)
+        assert r["bound"] == pytest.approx(r["max_value"], abs=1e-9)
 
     def test_n6_chromatic3(self):
-        r = find_maximizer(6, ConstraintSpec("chromatic_eq", 3))
-        assert r.matches is True
-        assert r.max_value == pytest.approx(3 * math.sqrt(6), abs=1e-12)
-        assert are_isomorphic(decode_graph6(r.maximizers[0]), turan_graph(6, 3))
+        r = one_cell("chromatic", 6, 3)
+        assert r["matches"] is True
+        assert r["max_value"] == pytest.approx(3 * math.sqrt(6), abs=1e-12)
+        assert are_isomorphic(decode_graph6(r["maximizers"][0]), turan_graph(6, 3))
 
     def test_n6_unconstrained_is_complete(self):
         # the chromatic cells partition the connected class; the best of them is K_6
-        cells = [find_maximizer(6, ConstraintSpec("chromatic_eq", v)) for v in range(2, 7)]
-        assert sum(r.scanned for r in cells) == 112
-        best = max(cells, key=lambda r: r.max_value)
-        assert best.constraint.value == 6 and best.matches is True
-        assert are_isomorphic(decode_graph6(best.maximizers[0]), complete_graph(6))
+        cells = [one_cell("chromatic", 6, v) for v in range(2, 7)]
+        assert sum(r["scanned"] for r in cells) == 112
+        best = max(cells, key=lambda r: r["max_value"])
+        assert best["value"] == 6 and best["matches"] is True
+        assert are_isomorphic(decode_graph6(best["maximizers"][0]), complete_graph(6))
 
     def test_unsatisfiable_cell_reports_empty(self):
-        # no connected graph on 4 vertices has chromatic number... they all have
-        # some; use edge connectivity 3 at n=4: only K_4, so use value 5 instead
-        r = find_maximizer(4, ConstraintSpec("edge_connectivity_eq", 5))
-        assert r.scanned == 0
-        assert r.max_value is None
-        assert r.maximizers == []
+        # no connected graph on 4 vertices has edge connectivity 5, so
+        # run_campaign refuses the value; a cell left empty is reported as
+        # such, and a must-match one fails
+        with pytest.raises(ValueError, match="no order"):
+            run_campaign("edge-conn", [4], [5])
+        r = verifier._finalize_cell(4, ConstraintSpec("edge_connectivity_eq", 5), verifier._Accum())
+        assert r["scanned"] == 0
+        assert r["max_value"] is None
+        assert r["maximizers"] == []
+        assert r["cell_class"] == "evidence" and r["verdict"] == "vacuous"
+        empty = verifier._finalize_cell(4, ConstraintSpec("vertex_connectivity_eq", 5),
+                                        verifier._Accum())
+        assert empty["cell_class"] == "must-match" and empty["matches"] is None
+        assert Report("vertex-conn", {}, [empty], {}).must_match_failures() == [empty]
 
     def test_evidence_cell_has_verdict(self):
-        r = find_maximizer(7, ConstraintSpec("chromatic_eq", 3))
-        assert r.cell_class == "evidence"
-        assert r.verdict in ("confirmed", "refuted")
-        assert r.maximizers
+        r = one_cell("chromatic", 7, 3)
+        assert r["cell_class"] == "evidence"
+        assert r["verdict"] in ("confirmed", "refuted")
+        assert r["maximizers"]
 
 
 class TestCampaigns:
@@ -451,7 +465,7 @@ class TestFusedScan:
         with pytest.raises(ValueError, match="order 11"):
             run_campaign("chromatic", [8, 11], [3], jobs=2, allow_long=True)
         with pytest.raises(ValueError, match="order 10"):
-            find_maximizer(10, ConstraintSpec("chromatic_eq", 3), jobs=2)
+            run_campaign("chromatic", [10], [3], jobs=2)
 
     def test_battery_range_checked_before_property_runs(self, monkeypatch):
         def no_property_run(*args):

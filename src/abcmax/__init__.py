@@ -22,12 +22,7 @@ from .bounds import (
     vertex_migration_gain,
 )
 from .coloring import ColoringResult, chromatic_number, is_k_colorable, k_coloring
-from .connectivity import (
-    ConnectivityResult,
-    connectivity_profile,
-    edge_connectivity,
-    vertex_connectivity,
-)
+from .connectivity import edge_connectivity, vertex_connectivity
 from .enumeration import (
     all_graphs,
     are_isomorphic,
@@ -54,7 +49,7 @@ from .graphs import (
     star_graph,
     turan_graph,
 )
-from .invariants import abc_index, abc_index_decimal, edge_sum, f_abc
+from .invariants import abc_index, abc_index_decimal, f_abc
 from .verifier import (
     ConstraintSpec,
     Report,

@@ -158,6 +158,10 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     campaign = args.campaign
+    if args.k is not None and campaign not in ("edge-conn", "vertex-conn"):
+        raise UsageError(f"--k applies only to edge-conn and vertex-conn, not {campaign}")
+    if args.chi is not None and campaign != "chromatic":
+        raise UsageError(f"--chi applies only to chromatic, not {campaign}")
     if campaign in ("edge-conn", "vertex-conn", "chromatic"):
         value = args.chi if campaign == "chromatic" else args.k
         report = run_campaign(campaign, range(lo, hi + 1), None if value is None else [value],

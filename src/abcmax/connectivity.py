@@ -31,8 +31,9 @@ Disconnected graphs return 0 (campaign filters rely on the value rather than
 an error), and complete graphs use the n-1 convention for vertex
 connectivity.
 
-`edge_cut_side` and `vertex_separator` return the witnesses as vertex
-masks.  With them, a scan decides most one-vertex extensions without a flow.
+`edge_cut_side` and `vertex_separator`, the one lambda and one kappa search,
+return the witnesses in their one form, vertex masks.  With them, a scan
+decides most one-vertex extensions without a flow.
 Let g be connected with k >= 2 vertices, and let h = g + z, with z joined to
 a nonempty S, s = |S|:
 
@@ -69,18 +70,9 @@ a nonempty S, s = |S|:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, _bits, is_connected
-
-
-@dataclass(frozen=True)
-class ConnectivityResult:
-    edge_connectivity: int
-    vertex_connectivity: int
-    min_edge_cut: Optional[tuple[tuple[int, int], ...]] = None
-    min_vertex_cut: Optional[tuple[int, ...]] = None
 
 
 def _augment(unit, free, s: int, t: int, limit: int) -> tuple[int, int]:
@@ -153,8 +145,13 @@ def edge_cut_side(g: Graph) -> tuple[int, int]:
     return best, best_reach
 
 
-def _vertex_cut(g: Graph) -> tuple[int, Optional[int]]:
-    """(kappa, split-graph reach set of a minimum vertex cut, None if none)."""
+def vertex_separator(g: Graph) -> tuple[int, Optional[tuple[int, int]]]:
+    """(kappa, (X, P)): a minimum separator X and one side P of it, as vertex
+    masks, or None in place of the pair when g is complete, K_1 or disconnected.
+
+    P is a union of components of g - X, and at least one component of
+    g - X lies outside it.
+    """
     n = g.n
     if n == 1 or not is_connected(g):
         return 0, None
@@ -185,27 +182,14 @@ def _vertex_cut(g: Graph) -> tuple[int, Optional[int]]:
                 if best == 1:
                     break
         s += 1
-    return best, best_reach
-
-
-def vertex_separator(g: Graph) -> tuple[int, Optional[tuple[int, int]]]:
-    """(kappa, (X, P)): a minimum separator X and one side P of it, as vertex
-    masks, or None in place of the pair when g is complete, K_1 or disconnected.
-
-    P is a union of components of g - X, and at least one component of
-    g - X lies outside it.
-    """
-    kap, reach = _vertex_cut(g)
-    if reach is None:
-        return kap, None
     sep = side = 0
-    for v in range(g.n):
-        if (reach >> (2 * v)) & 1:
-            if (reach >> (2 * v + 1)) & 1:
+    for v in range(n):
+        if (best_reach >> (2 * v)) & 1:
+            if (best_reach >> (2 * v + 1)) & 1:
                 side |= 1 << v
             else:
                 sep |= 1 << v
-    return kap, (sep, side)
+    return best, (sep, side)
 
 
 def edge_connectivity(g: Graph) -> int:
@@ -215,17 +199,4 @@ def edge_connectivity(g: Graph) -> int:
 
 def vertex_connectivity(g: Graph) -> int:
     """Minimum vertex-cut size; n-1 for complete graphs by convention."""
-    return _vertex_cut(g)[0]
-
-
-def connectivity_profile(g: Graph) -> ConnectivityResult:
-    """Both connectivities plus witness cuts realizing them (when they exist)."""
-    lam, side = edge_cut_side(g)
-    kap, cut = vertex_separator(g)
-    if lam == 0:
-        return ConnectivityResult(lam, kap, (), () if g.n > 1 else None)
-    edge_cut = tuple(sorted(
-        (min(u, v), max(u, v)) for u in _bits(side) for v in _bits(g.rows[u] & ~side)
-    ))
-    vertex_cut = None if cut is None else tuple(_bits(cut[0]))
-    return ConnectivityResult(lam, kap, edge_cut, vertex_cut)
+    return vertex_separator(g)[0]

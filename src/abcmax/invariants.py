@@ -1,7 +1,7 @@
-"""The atom-bond connectivity index and a pluggable degree-based edge sum.
+"""The atom-bond connectivity index, as a float and at fixed Decimal precision.
 
 For an edge uv the ABC contribution is sqrt((d(u)+d(v)-2)/(d(u)d(v))); the
-index is the sum over all edges.  Every sum here walks the graph once, in
+index is the sum over all edges.  Both sums walk the graph once, in
 `_degree_pairs`, which counts the edges per endpoint-degree pair; each
 distinct pair's term is evaluated once and repeated by its count.  Floats are
 accumulated with math.fsum, which rounds the exact sum of the term multiset
@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from typing import Callable
 
 from .graphs import Graph
-
-EdgeFunction = Callable[[int, int], float]
 
 
 def f_abc(a, b) -> float:
@@ -45,19 +42,11 @@ def _degree_pairs(g: Graph) -> dict[tuple[int, int], int]:
     return pairs
 
 
-def edge_sum(g: Graph, ef: EdgeFunction) -> float:
-    """Sum ef(d(u), d(v)) over all edges uv; edge_sum(g, f_abc) == abc_index(g).
-
-    ef is called once per distinct degree pair, with a <= b.
-    """
+def abc_index(g: Graph) -> float:
     terms: list[float] = []
     for (a, b), count in _degree_pairs(g).items():
-        terms += [ef(a, b)] * count
+        terms += [f_abc(a, b)] * count
     return math.fsum(terms)
-
-
-def abc_index(g: Graph) -> float:
-    return edge_sum(g, f_abc)
 
 
 def abc_index_decimal(g: Graph, digits: int = 40) -> Decimal:

@@ -42,7 +42,7 @@ import io
 import json
 import random
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from multiprocessing import get_context
@@ -53,6 +53,7 @@ from .coloring import chromatic_number, is_k_colorable
 from .connectivity import edge_connectivity, edge_cut_side, vertex_connectivity, vertex_separator
 from .enumeration import are_isomorphic, check_order, connected_graph_list, expand_seed
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     add_edge,
     bridge_cliques_graph,
@@ -71,6 +72,7 @@ TIE_DIGITS = 40
 TIE_TOL = Decimal("1e-20")
 SEED_DEPTH = 7  # order of the subtree roots a scan is split into
 MONOTONICITY_N_MAX = 12  # largest order the battery's monotonicity trials draw
+BRIDGE_N_MAX = 100  # largest order the battery's bridge-rewrite run checks
 
 CONSTRAINT_KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq")
 
@@ -436,23 +438,14 @@ def _campaign_values(campaign: str, n: int, values) -> list[int]:
     return [v for v in vals if 1 <= v <= n - 1]
 
 
-@contextmanager
-def _fork_pool(jobs: int, needed: bool):
-    """A fork pool of `jobs` workers when jobs > 1 and there is work for it,
-    else None.  Leaving the block ends every worker, on an error too."""
-    if jobs > 1 and needed:
-        with get_context("fork").Pool(processes=jobs) as pool:
-            yield pool
-    else:
-        yield None
-
-
 def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
                     jobs: int, properties=()) -> tuple[list[dict], int]:
     """Cells of every campaign, campaign-major, from one scan per order, then
     the cells of the `properties` runs, given as (function, args) pairs.  The
     graphs-scanned count is summed over campaigns, as if each had its own scan.
-    The caller has checked the order cap and the property runs' arguments."""
+    `jobs` is checked here, the order cap and the runs' arguments by the caller."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     plans = []
     for n in n_values:
         constraints = [
@@ -462,12 +455,12 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
         ]
         if constraints:
             plans.append((n, constraints, connected_graph_list(min(n, SEED_DEPTH))))
-    # one pool for the campaign, forked after the class lists are built so
-    # that the workers inherit them; the property runs are queued first and
-    # run beside the scans, which stop at the first fold after one fails.
-    # Without a pool they run before the scans, for the same early stop.
-    pooled = bool(properties) or any(n > SEED_DEPTH for n, _, _ in plans)
-    with _fork_pool(jobs, pooled) as pool:
+    # one pool per campaign, forked after the class lists are built so that the
+    # workers inherit them. The property runs are queued first and run beside
+    # the scans, which stop at the first fold after one fails; without a pool
+    # they run first. Leaving the block ends every worker, on an error too.
+    pooled = jobs > 1 and (bool(properties) or any(n > SEED_DEPTH for n, _, _ in plans))
+    with get_context("fork").Pool(processes=jobs) if pooled else nullcontext() as pool:
         runs = [pool.apply_async(fn, args) for fn, args in properties] if pool else []
         reports = [] if pool else [fn(*args) for fn, args in properties]
         cells: list[dict] = []
@@ -595,8 +588,8 @@ def verify_monotonicity(trials: int, n_max: int, seed: int) -> Report:
 
 
 def _check_bridge_args(n_max: int) -> None:
-    if n_max < 6:
-        raise ValueError(f"n_max must be >= 6, got {n_max}")
+    if not 6 <= n_max <= MAX_VERTICES:
+        raise ValueError(f"n_max must be in 6..{MAX_VERTICES}, got {n_max}")
 
 
 def verify_bridge_rewrite(n_max: int) -> Report:
@@ -645,7 +638,6 @@ def run_full_battery(
     jobs: int = 1,
     seed: int = 0,
     trials: int = 10000,
-    bridge_n_max: int = 100,
     allow_long: bool = False,
 ) -> Report:
     """Every campaign at once: connectivity and chromatic scans over the
@@ -656,11 +648,10 @@ def run_full_battery(
         raise ValueError(f"n-range {n_lo}..{n_hi} has no order >= 3 to scan")
     check_order(n_hi, allow_long)
     _check_monotonicity_args(trials, MONOTONICITY_N_MAX)
-    _check_bridge_args(bridge_n_max)
     cells, graphs_scanned = _scan_campaigns(
         ("edge-conn", "vertex-conn", "chromatic"), ns, None, jobs,
         [(verify_monotonicity, (trials, MONOTONICITY_N_MAX, seed)),
-         (verify_bridge_rewrite, (bridge_n_max,))])
+         (verify_bridge_rewrite, (BRIDGE_N_MAX,))])
     params = {
         "campaign": "all",
         "n_range": [n_lo, n_hi],
@@ -668,7 +659,7 @@ def run_full_battery(
         "jobs": jobs,
         "seed": seed,
         "trials": trials,
-        "bridge_n_max": bridge_n_max,
+        "bridge_n_max": BRIDGE_N_MAX,
         "allow_long": allow_long,
     }
     totals = {

@@ -222,6 +222,20 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("campaign, flag", [
+        ("edge-conn", "--chi"),
+        ("vertex-conn", "--chi"),
+        ("chromatic", "--k"),
+        ("monotonicity", "--k"),
+        ("bridge", "--chi"),
+        ("all", "--k"),
+    ])
+    def test_flag_the_campaign_does_not_read(self, capsys, campaign, flag):
+        code, out, err = run_cli(capsys, "verify", campaign, "--n-range", "5..6", flag, "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} applies only to")
+
     def test_enumerate_above_cap_needs_flag(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--n", "9", "--connected")
         assert code == 2

@@ -6,7 +6,6 @@ import pytest
 
 from abcmax import connectivity, verifier
 from abcmax.connectivity import (
-    connectivity_profile,
     edge_connectivity,
     edge_cut_side,
     vertex_connectivity,
@@ -291,31 +290,28 @@ class TestAtlasOracle:
         assert checked == 996
 
 
+def cut_edges(g: Graph, side: int) -> list[tuple[int, int]]:
+    """The edges leaving the vertex mask `side`."""
+    return [(u, v) for u in _bits(side) for v in _bits(g.rows[u] & ~side)]
+
+
 def assert_witnesses(g: Graph):
-    prof = connectivity_profile(g)
-    assert prof.edge_connectivity == edge_connectivity(g)
-    assert prof.vertex_connectivity == vertex_connectivity(g)
-    assert len(prof.min_edge_cut) == prof.edge_connectivity
-    assert all(g.has_edge(u, v) for u, v in prof.min_edge_cut)
-    assert not is_connected(without_edges(g, prof.min_edge_cut))
-    complete = g.edge_count() == g.n * (g.n - 1) // 2
-    assert (prof.min_vertex_cut is None) == complete
-    if not complete:
-        assert len(prof.min_vertex_cut) == prof.vertex_connectivity
-        assert not is_connected(without_vertices(g, prof.min_vertex_cut))
-    # the masks the scan decides children from
     full = (1 << g.n) - 1
     lam, side = edge_cut_side(g)
+    assert lam == edge_connectivity(g)
     assert 0 < side < full
-    assert sum((g.rows[u] & ~side).bit_count() for u in _bits(side)) == lam
+    assert len(cut_edges(g, side)) == lam
+    assert not is_connected(without_edges(g, cut_edges(g, side)))
     kap, cut = vertex_separator(g)
-    assert kap == prof.vertex_connectivity
+    assert kap == vertex_connectivity(g)
+    complete = g.edge_count() == g.n * (g.n - 1) // 2
     assert (cut is None) == complete
     if not complete:
         sep, p_side = cut
         rest = full & ~(sep | p_side)
         assert not sep & p_side and p_side and rest
-        assert tuple(_bits(sep)) == prof.min_vertex_cut
+        assert sep.bit_count() == kap
+        assert not is_connected(without_vertices(g, list(_bits(sep))))
         assert not any(g.rows[u] & rest for u in _bits(p_side))
 
 
@@ -329,29 +325,19 @@ class TestProfile:
         for g in random_graphs:
             assert_witnesses(g)
 
-    def test_no_flow_calls_beyond_lambda_and_kappa(self, augment_calls):
-        for g in connected_classes_upto_7():
-            augment_calls.clear()
-            edge_connectivity(g)
-            vertex_connectivity(g)
-            separate = len(augment_calls)
-            augment_calls.clear()
-            connectivity_profile(g)
-            assert len(augment_calls) == separate
-
 
 class TestWitnesses:
     def test_edge_cut_witness_disconnects(self):
         for g in (bridge_cliques_graph(3, 4), kn_k_graph(6, 2), cycle_graph(6)):
-            prof = connectivity_profile(g)
-            assert len(prof.min_edge_cut) == prof.edge_connectivity
-            assert not is_connected(without_edges(g, prof.min_edge_cut))
+            lam, side = edge_cut_side(g)
+            assert len(cut_edges(g, side)) == lam
+            assert not is_connected(without_edges(g, cut_edges(g, side)))
 
     def test_vertex_cut_witness_disconnects(self):
         g = kn_k_graph(6, 3)
-        prof = connectivity_profile(g)
-        assert len(prof.min_vertex_cut) == 3
-        assert not is_connected(without_vertices(g, prof.min_vertex_cut))
+        kap, (sep, _) = vertex_separator(g)
+        assert kap == sep.bit_count() == 3
+        assert not is_connected(without_vertices(g, list(_bits(sep))))
 
     def test_vertex_cut_at_min_degree_is_a_neighbourhood(self):
         # no flow beats the minimum degree, so the witness is N(v) of the
@@ -362,13 +348,13 @@ class TestWitnesses:
         for g in (cycle_graph(7), turan_graph(6, 2), petersen):
             degrees = g.degrees()
             v = degrees.index(min(degrees))
-            prof = connectivity_profile(g)
-            assert prof.vertex_connectivity == degrees[v]
-            assert prof.min_vertex_cut == tuple(_bits(g.rows[v]))
-            assert not is_connected(without_vertices(g, prof.min_vertex_cut))
+            kap, (sep, _) = vertex_separator(g)
+            assert kap == degrees[v]
+            assert sep == g.rows[v]
+            assert not is_connected(without_vertices(g, list(_bits(sep))))
 
     def test_complete_graph_has_no_vertex_cut(self):
-        prof = connectivity_profile(complete_graph(4))
-        assert prof.vertex_connectivity == 3
-        assert prof.min_vertex_cut is None
-        assert len(prof.min_edge_cut) == 3
+        g = complete_graph(4)
+        assert vertex_separator(g) == (3, None)
+        lam, side = edge_cut_side(g)
+        assert lam == len(cut_edges(g, side)) == 3

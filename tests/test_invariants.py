@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import pytest
 
+from abcmax import invariants
 from abcmax.enumeration import connected_graph_list
 from abcmax.graphs import (
     Graph,
@@ -13,10 +14,9 @@ from abcmax.graphs import (
     cycle_graph,
     empty_graph,
     kn_k_graph,
-    path_graph,
     turan_graph,
 )
-from abcmax.invariants import abc_index, abc_index_decimal, edge_sum, f_abc
+from abcmax.invariants import _degree_pairs, abc_index, abc_index_decimal, f_abc
 
 # expected values below are frozen from explicit degree-pair decompositions,
 # e.g. K_6(3) has edge multiset {(5,5)x3, (4,4)x1, (3,5)x3, (4,5)x6}
@@ -139,20 +139,16 @@ class TestAbcIndex:
 class TestEdgeSum:
     def test_constant_one_counts_edges(self):
         g = kn_k_graph(7, 2)
-        assert edge_sum(g, lambda a, b: 1.0) == g.edge_count()
-
-    def test_matches_abc(self):
-        g = turan_graph(8, 3)
-        assert edge_sum(g, f_abc) == abc_index(g)
+        assert sum(_degree_pairs(g).values()) == g.edge_count()
 
     def test_k5_abc(self):
-        assert edge_sum(complete_graph(5), f_abc) == pytest.approx(5 * math.sqrt(6) / 2, abs=1e-12)
+        assert abc_index(complete_graph(5)) == pytest.approx(5 * math.sqrt(6) / 2, abs=1e-12)
 
-    def test_degree_sum_function(self):
-        assert edge_sum(path_graph(3), lambda a, b: float(a + b)) == 6.0
-
-    def test_one_call_per_degree_pair(self):
+    def test_one_call_per_degree_pair(self, monkeypatch):
         calls = []
-        g = kn_k_graph(6, 3)  # degree pairs (5,5)x3, (4,4)x1, (3,5)x3, (4,5)x6
-        edge_sum(g, lambda a, b: calls.append((a, b)) or 1.0)
+        real_f_abc = invariants.f_abc
+        monkeypatch.setattr(invariants, "f_abc", lambda a, b: calls.append((a, b)) or real_f_abc(a, b))
+        g = kn_k_graph(6, 3)
+        assert _degree_pairs(g) == {(5, 5): 3, (4, 4): 1, (3, 5): 3, (4, 5): 6}
+        abc_index(g)
         assert sorted(calls) == [(3, 5), (4, 4), (4, 5), (5, 5)]

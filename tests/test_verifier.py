@@ -237,8 +237,9 @@ class TestReports:
             for g6 in cell["maximizers"]:
                 assert decode_graph6(g6).n == cell["n"]
 
-    def test_full_battery_small(self):
-        rep = run_full_battery(4, 5, trials=50, bridge_n_max=8, seed=3)
+    def test_full_battery_small(self, monkeypatch):
+        monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 8)
+        rep = run_full_battery(4, 5, trials=50, seed=3)
         assert rep.campaign == "all"
         campaigns = {c["campaign"] for c in rep.cells}
         assert campaigns == {"edge-conn", "vertex-conn", "chromatic", "monotonicity", "bridge"}
@@ -385,6 +386,7 @@ class TestFusedScan:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_battery_equals_separate_campaigns(self, monkeypatch, jobs):
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
+        monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
         scans = []
         real_scan_cells = verifier._scan_cells
 
@@ -393,7 +395,7 @@ class TestFusedScan:
             return real_scan_cells(n, *args)
 
         monkeypatch.setattr(verifier, "_scan_cells", counting_scan_cells)
-        battery = run_full_battery(4, 6, jobs=jobs, trials=20, bridge_n_max=6)
+        battery = run_full_battery(4, 6, jobs=jobs, trials=20)
         assert scans == [4, 5, 6]
         separate = [run_campaign(c, range(4, 7), jobs=jobs) for c in self.CAMPAIGNS]
         fused = [c for c in battery.cells if c["campaign"] in self.CAMPAIGNS]
@@ -406,9 +408,10 @@ class TestFusedScan:
         # SEED_DEPTH 7 scans each of orders 4..7 as one pass over its class
         # list; roots of order 4 split orders 5..7 into subtrees, at jobs 2
         # scanned in pool workers
-        flat = run_full_battery(4, 7, jobs=1, trials=20, bridge_n_max=6)
+        monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
+        flat = run_full_battery(4, 7, jobs=1, trials=20)
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
-        deep = run_full_battery(4, 7, jobs=jobs, trials=20, bridge_n_max=6)
+        deep = run_full_battery(4, 7, jobs=jobs, trials=20)
         assert deep.cells == flat.cells
         assert deep.totals["graphs_scanned"] == flat.totals["graphs_scanned"]
 
@@ -428,8 +431,9 @@ class TestFusedScan:
 
         monkeypatch.setattr(verifier, "_random_connected", crash)
         monkeypatch.setattr(verifier, "_scan_cells", recording_scan_cells)
+        monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
         with pytest.raises(RuntimeError, match="boom"):
-            run_full_battery(4, 8, jobs=jobs, trials=5, bridge_n_max=6)
+            run_full_battery(4, 8, jobs=jobs, trials=5)
         assert 8 not in scanned
         if jobs == 1:
             assert scanned == []
@@ -442,6 +446,28 @@ class TestFusedScan:
         assert main(["verify", "all", "--n-range", "4..5", "--trials", "0"]) == 2
         assert "trials" in capsys.readouterr().err
         assert scans == []
+
+    def test_bad_jobs_fail_before_any_work(self, monkeypatch):
+        def crash(*args):
+            raise AssertionError("work started")
+
+        for name in ("connected_graph_list", "_scan_kernel", "verify_monotonicity",
+                     "verify_bridge_rewrite"):
+            monkeypatch.setattr(verifier, name, crash)
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            run_campaign("chromatic", [5], [3], jobs=0)
+        with pytest.raises(ValueError, match="jobs must be >= 1, got -2"):
+            run_full_battery(4, 5, jobs=-2)
+
+    def test_bridge_order_above_graph_cap_fails_before_any_graph(self, monkeypatch, capsys):
+        def crash(*args):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(verifier, "bridge_cliques_graph", crash)
+        with pytest.raises(ValueError, match="6..4096, got 4097"):
+            verify_bridge_rewrite(4097)
+        assert main(["verify", "bridge", "--n-range", "4097..4097"]) == 2
+        assert "4097" in capsys.readouterr().err
 
     def test_seeds_listed_once_per_order(self, monkeypatch):
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)

@@ -41,6 +41,7 @@ import csv
 import io
 import json
 import random
+import signal
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -459,8 +460,13 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
     # workers inherit them. The property runs are queued first and run beside
     # the scans, which stop at the first fold after one fails; without a pool
     # they run first. Leaving the block ends every worker, on an error too.
+    # It does so by SIGTERM, so each worker restores that signal's default
+    # action: a handler inherited from the caller would keep a busy worker
+    # alive, and the pool would wait for it for ever.
     pooled = jobs > 1 and (bool(properties) or any(n > SEED_DEPTH for n, _, _ in plans))
-    with get_context("fork").Pool(processes=jobs) if pooled else nullcontext() as pool:
+    with get_context("fork").Pool(
+        processes=jobs, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL),
+    ) if pooled else nullcontext() as pool:
         runs = [pool.apply_async(fn, args) for fn, args in properties] if pool else []
         reports = [] if pool else [fn(*args) for fn, args in properties]
         cells: list[dict] = []

@@ -1,9 +1,15 @@
 import csv
 import io
 import math
+import os
 import pickle
 import random
+import signal
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -437,6 +443,41 @@ class TestFusedScan:
         assert 8 not in scanned
         if jobs == 1:
             assert scanned == []
+
+    def test_failed_run_ends_workers_under_a_sigterm_handler(self, tmp_path):
+        # forked workers inherit the caller's SIGTERM handler (a test runner's,
+        # say); leaving the pool on an error must still end the worker that is
+        # busy with the bridge run, or the pool waits for it for ever.  The run
+        # gets its own process group, so that a stuck worker is killed too.
+        script = tmp_path / "crash.py"
+        script.write_text(textwrap.dedent("""
+            import signal
+            from abcmax import verifier
+
+            def crash(*args):
+                raise RuntimeError("boom")
+
+            signal.signal(signal.SIGTERM, lambda *args: None)
+            verifier._random_connected = crash
+            verifier.SEED_DEPTH = 4
+            try:
+                verifier.run_full_battery(4, 5, jobs=2, trials=5)
+            except RuntimeError:
+                pass
+            else:
+                raise SystemExit("no error")
+        """))
+        env = {**os.environ, "PYTHONPATH": str(Path(verifier.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, str(script)], env=env, start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            assert proc.wait(timeout=60) == 0
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
 
     def test_bad_trials_fail_before_any_scan(self, monkeypatch, capsys):
         scans = []

@@ -39,14 +39,6 @@ from .verifier import (
 DEFAULT_PRECISION = 9
 
 
-class UsageError(Exception):
-    pass
-
-
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}"
-
-
 def _precision(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -54,34 +46,59 @@ def _precision(text: str) -> int:
     return value
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
-    if lo < 1 or hi < lo:
-        raise UsageError(f"bad range {text!r}")
-    return lo, hi
+def _order_range(text: str) -> range:
+    """A..B or a single order A, with 1 <= A <= B."""
+    lo_s, dots, hi_s = text.partition("..")
+    lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+    return range(lo, hi + 1)
 
 
+def _parts(text: str) -> bounds.PartitionProfile:
+    try:
+        return bounds.PartitionProfile(tuple(int(t) for t in text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# the flags of the construct and bound entries, each declared once
+_PARAMS = {
+    "--n": dict(type=int, required=True, help="order"),
+    "--k": dict(type=int, required=True, help="connectivity"),
+    "--l": dict(type=int, required=True, help="number of parts"),
+    "--x": dict(type=int, required=True, help="order of the first clique"),
+    "--y": dict(type=int, required=True, help="order of the second clique"),
+    "--chi": dict(type=int, required=True, help="chromatic number"),
+    "--parts": dict(type=_parts, required=True, help="comma-separated part sizes, e.g. 2,2,2"),
+    "--precision": dict(type=_precision, default=DEFAULT_PRECISION),
+}
+
+# entry: (help, function, the flags passed to it in order)
 _FAMILIES = {
-    "complete": lambda a: complete_graph(a.n),
-    "knk": lambda a: kn_k_graph(a.n, a.k),
-    "turan": lambda a: turan_graph(a.n, a.l),
-    "bridge": lambda a: bridge_cliques_graph(a.x, a.y),
-    "cycle": lambda a: cycle_graph(a.n),
-    "path": lambda a: path_graph(a.n),
-    "star": lambda a: star_graph(a.n),
+    "complete": ("the complete graph K_n", complete_graph, "--n"),
+    "knk": ("K_n(k): one vertex joined to k vertices of K_{n-1}", kn_k_graph, "--n", "--k"),
+    "turan": ("the balanced complete l-partite graph T_{n,l}", turan_graph, "--n", "--l"),
+    "bridge": ("K_x and K_y joined by one edge", bridge_cliques_graph, "--x", "--y"),
+    "cycle": ("the cycle C_n", cycle_graph, "--n"),
+    "path": ("the path P_n", path_graph, "--n"),
+    "star": ("the star K_{1,n-1}", star_graph, "--n"),
+}
+
+_BOUNDS = {
+    "thm1": ("edge-connectivity bound", bounds.edge_connectivity_bound, "--n", "--k"),
+    "thm2": ("two-colourable bound", bounds.bipartite_bound, "--n"),
+    "cor3": ("chromatic bound", bounds.chromatic_bound, "--n", "--chi"),
+    "cs": ("multipartite sum and Cauchy-Schwarz cap", bounds.cauchy_schwarz_bound, "--parts"),
 }
 
 
+def _call(args):
+    return args.entry(*(getattr(args, flag[2:]) for flag in args.reads))
+
+
 def _cmd_construct(args) -> int:
-    try:
-        g = _FAMILIES[args.family](args)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-    print(encode_graph6(g))
+    print(encode_graph6(_call(args)))
     return 0
 
 
@@ -118,61 +135,41 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _parse_parts(text: str) -> bounds.PartitionProfile:
-    try:
-        parts = tuple(int(t) for t in text.split(","))
-        return bounds.PartitionProfile(parts)
-    except ValueError as exc:
-        raise UsageError(f"bad --parts {text!r}: {exc}") from exc
-
-
 def _cmd_bound(args) -> int:
-    prec = args.precision
-    try:
-        if args.which == "thm1":
-            if args.n is None or args.k is None:
-                raise UsageError("thm1 needs --n and --k")
-            print(_fmt(bounds.edge_connectivity_bound(args.n, args.k), prec))
-        elif args.which == "thm2":
-            if args.n is None:
-                raise UsageError("thm2 needs --n")
-            print(_fmt(bounds.bipartite_bound(args.n), prec))
-        elif args.which == "cor3":
-            if args.n is None or args.chi is None:
-                raise UsageError("cor3 needs --n and --chi")
-            print(_fmt(bounds.chromatic_bound(args.n, args.chi), prec))
-        else:  # cs
-            if args.parts is None:
-                raise UsageError("cs needs --parts t1,t2,...")
-            profile = _parse_parts(args.parts)
-            cs = bounds.cauchy_schwarz_bound(profile)
-            print(_fmt(cs.inner_sum, prec), _fmt(cs.norm_product, prec))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    value = _call(args)
+    values = value if isinstance(value, tuple) else (value,)  # cs gives a pair
+    print(*(f"{v:.{args.precision}f}" for v in values))
     return 0
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scan(args):
+    return run_campaign(args.campaign, args.n_range, None if args.value is None else [args.value],
+                        jobs=args.jobs, allow_long=args.allow_long)
+
+
+# campaign: (help, runner, the flags it reads besides --out and --format)
+_CAMPAIGNS = {
+    "edge-conn": ("edge connectivity = k", _scan, "--n-range", "--k", "--jobs", "--allow-long"),
+    "vertex-conn": ("vertex connectivity = k", _scan, "--n-range", "--k", "--jobs", "--allow-long"),
+    "chromatic": ("chromatic number = chi", _scan, "--n-range", "--chi", "--jobs", "--allow-long"),
+    "all": ("every scan and property run",
+            lambda a: run_full_battery(a.n_range[0], a.n_range[-1], jobs=a.jobs, seed=a.seed,
+                                       trials=a.trials, allow_long=a.allow_long),
+            "--n-range", "--jobs", "--allow-long", "--seed", "--trials"),
+    "monotonicity": ("edges raise ABC", lambda a: verify_monotonicity(a.trials, a.n_max, a.seed),
+                     "--n-max", "--seed", "--trials"),
+    "bridge": ("bridge rewrites raise ABC", lambda a: verify_bridge_rewrite(a.n_max), "--n-max"),
+}
+
+
 def _cmd_verify(args) -> int:
-    lo, hi = _parse_range(args.n_range)
-    if args.jobs is not None and args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    campaign = args.campaign
-    if args.k is not None and campaign not in ("edge-conn", "vertex-conn"):
-        raise UsageError(f"--k applies only to edge-conn and vertex-conn, not {campaign}")
-    if args.chi is not None and campaign != "chromatic":
-        raise UsageError(f"--chi applies only to chromatic, not {campaign}")
-    if campaign in ("edge-conn", "vertex-conn", "chromatic"):
-        value = args.chi if campaign == "chromatic" else args.k
-        report = run_campaign(campaign, range(lo, hi + 1), None if value is None else [value],
-                              jobs=jobs, allow_long=args.allow_long)
-    elif campaign == "monotonicity":
-        report = verify_monotonicity(args.trials, hi, args.seed)
-    elif campaign == "bridge":
-        report = verify_bridge_rewrite(hi)
-    else:  # all
-        report = run_full_battery(lo, hi, jobs=jobs, seed=args.seed, trials=args.trials,
-                                  allow_long=args.allow_long)
+    report = args.entry(args)
     payload = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -200,6 +197,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _add_entries(parser, dest, table, flags, func, *shared) -> None:
+    """One subcommand per table entry, taking exactly the flags it reads."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, entry, *reads) in table.items():
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        for flag in (*reads, *shared):
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func, entry=entry, reads=reads)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abcmax",
@@ -208,14 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a named family member as graph6")
-    p.add_argument("--family", required=True,
-                   choices=list(_FAMILIES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--x", type=int)
-    p.add_argument("--y", type=int)
-    p.set_defaults(func=_cmd_construct)
+    _add_entries(p, "family", _FAMILIES, _PARAMS, _cmd_construct)
 
     p = sub.add_parser("invariants", help="JSON invariants for graph6 input")
     p.add_argument("--g6", help="single graph6 text (default: read lines from stdin)")
@@ -229,35 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
-    p.add_argument("--which", required=True, choices=["thm1", "thm2", "cor3", "cs"],
-                   help="thm1: edge-connectivity bound (--n --k); thm2: two-colourable "
-                        "bound (--n); cor3: chromatic bound (--n --chi); cs: "
-                        "multipartite sum and Cauchy-Schwarz cap (--parts)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--chi", type=int)
-    p.add_argument("--parts", help="comma-separated part sizes, e.g. 2,2,2")
-    p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
-    p.set_defaults(func=_cmd_bound)
+    _add_entries(p, "which", _BOUNDS, _PARAMS, _cmd_bound, "--precision")
 
+    # the flags of the campaigns, each declared once; --jobs's default is read now
+    flags = {
+        "--n-range": dict(type=_order_range, default="4..8", help="A..B or a single order"),
+        "--n-max": dict(type=int, default=8, help="largest order (default: %(default)s)"),
+        "--k": dict(type=int, dest="value", help="connectivity value (default: all valid)"),
+        "--chi": dict(type=int, dest="value", help="chromatic value (default: all valid)"),
+        "--jobs": dict(type=int, default=_usable_cpus(),
+                       help="worker count (default: %(default)s, the CPUs this process may use)"),
+        "--allow-long": dict(action="store_true", help="permit orders 9 and 10 (long runs)"),
+        "--seed": dict(type=int, default=0),
+        "--trials": dict(type=int, default=10000),
+        "--out": dict(help="write the report here instead of stdout"),
+        "--format": dict(choices=["json", "csv"], default="json"),
+    }
     p = sub.add_parser("verify", help="run a verification campaign")
-    p.add_argument("campaign",
-                   choices=["edge-conn", "vertex-conn", "chromatic", "monotonicity",
-                            "bridge", "all"])
-    p.add_argument("--n-range", default="4..8",
-                   help="A..B or a single order; monotonicity and bridge read only B")
-    p.add_argument("--k", type=int, help="connectivity value (default: all valid)")
-    p.add_argument("--chi", type=int, help="chromatic value (default: all valid)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker count (default: available parallelism)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--allow-long", action="store_true",
-                   help="permit orders 9 and 10 (long runs)")
-    p.set_defaults(func=_cmd_verify)
-
+    _add_entries(p, "campaign", _CAMPAIGNS, flags, _cmd_verify, "--out", "--format")
     return parser
 
 
@@ -269,7 +258,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -1,6 +1,9 @@
+import argparse
 import io
 import json
 import multiprocessing
+import os
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,52 @@ from abcmax.graphs import (
 )
 from abcmax.verifier import Report
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# the flags each leaf command reads, held here apart from the parser
+READS = {
+    "construct": {
+        "complete": {"--n"},
+        "knk": {"--n", "--k"},
+        "turan": {"--n", "--l"},
+        "bridge": {"--x", "--y"},
+        "cycle": {"--n"},
+        "path": {"--n"},
+        "star": {"--n"},
+    },
+    "bound": {
+        "thm1": {"--n", "--k", "--precision"},
+        "thm2": {"--n", "--precision"},
+        "cor3": {"--n", "--chi", "--precision"},
+        "cs": {"--parts", "--precision"},
+    },
+    "verify": {
+        "edge-conn": {"--n-range", "--k", "--jobs", "--allow-long", "--out", "--format"},
+        "vertex-conn": {"--n-range", "--k", "--jobs", "--allow-long", "--out", "--format"},
+        "chromatic": {"--n-range", "--chi", "--jobs", "--allow-long", "--out", "--format"},
+        "all": {"--n-range", "--jobs", "--allow-long", "--seed", "--trials", "--out", "--format"},
+        "monotonicity": {"--n-max", "--seed", "--trials", "--out", "--format"},
+        "bridge": {"--n-max", "--out", "--format"},
+    },
+}
+
+
+def unread(command):
+    """(leaf, flag) for every flag that a sibling leaf reads and this one does not."""
+    leaves = READS[command]
+    every = set().union(*leaves.values())
+    return [(leaf, flag) for leaf, reads in leaves.items() for flag in sorted(every - reads)]
+
+
+def leaves(parser, path=()):
+    """The argv prefix of every leaf command under `parser`."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaves(child, (*path, name))
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -25,30 +74,39 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def commands_run(monkeypatch):
+    """Stubs every construct, bound and verify command; lists the ones that ran."""
+    ran = []
+    for name in ("_cmd_construct", "_cmd_bound", "_cmd_verify"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: ran.append(name) or 0)
+    return ran
+
+
 class TestConstruct:
     def test_knk(self, capsys):
-        code, out, _ = run_cli(capsys, "construct", "--family", "knk", "--n", "6", "--k", "3")
+        code, out, _ = run_cli(capsys, "construct", "knk", "--n", "6", "--k", "3")
         assert code == 0
         assert decode_graph6(out.strip()) == kn_k_graph(6, 3)
 
     def test_each_family(self, capsys):
         for argv, expected in (
-            (["--family", "complete", "--n", "5"], complete_graph(5)),
-            (["--family", "knk", "--n", "7", "--k", "2"], kn_k_graph(7, 2)),
-            (["--family", "turan", "--n", "6", "--l", "3"], turan_graph(6, 3)),
-            (["--family", "bridge", "--x", "2", "--y", "3"], bridge_cliques_graph(2, 3)),
-            (["--family", "cycle", "--n", "5"], cycle_graph(5)),
-            (["--family", "path", "--n", "4"], path_graph(4)),
-            (["--family", "star", "--n", "5"], star_graph(5)),
+            (["complete", "--n", "5"], complete_graph(5)),
+            (["knk", "--n", "7", "--k", "2"], kn_k_graph(7, 2)),
+            (["turan", "--n", "6", "--l", "3"], turan_graph(6, 3)),
+            (["bridge", "--x", "2", "--y", "3"], bridge_cliques_graph(2, 3)),
+            (["cycle", "--n", "5"], cycle_graph(5)),
+            (["path", "--n", "4"], path_graph(4)),
+            (["star", "--n", "5"], star_graph(5)),
         ):
             code, out, _ = run_cli(capsys, "construct", *argv)
             assert code == 0
             assert decode_graph6(out.strip()) == expected
 
     def test_bad_parameters_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "construct", "--family", "turan", "--n", "5", "--l", "9")
-        assert code == 2
-        assert "error" in err.lower()
+        code, out, err = run_cli(capsys, "construct", "turan", "--n", "5", "--l", "9")
+        assert code == 2 and out == ""
+        assert err == "error: turan needs 1 <= l <= n, got n=5, l=9\n"
 
 
 class TestInvariants:
@@ -81,7 +139,7 @@ class TestInvariants:
         # lambda and kappa, both 2 on a cycle, are stubbed
         monkeypatch.setattr(cli, "edge_connectivity", lambda g: 2)
         monkeypatch.setattr(cli, "vertex_connectivity", lambda g: 2)
-        code, out, _ = run_cli(capsys, "construct", "--family", "cycle", "--n", "1501")
+        code, out, _ = run_cli(capsys, "construct", "cycle", "--n", "1501")
         assert code == 0
         monkeypatch.setattr("sys.stdin", io.StringIO(out))
         code, out, err = run_cli(capsys, "invariants")
@@ -115,39 +173,44 @@ class TestEnumerate:
 
 class TestBound:
     def test_cor3(self, capsys):
-        code, out, _ = run_cli(capsys, "bound", "--which", "cor3", "--n", "6", "--chi", "3")
+        code, out, _ = run_cli(capsys, "bound", "cor3", "--n", "6", "--chi", "3")
         assert code == 0
         assert out.strip() == "7.348469228"
 
     def test_thm1(self, capsys):
-        code, out, _ = run_cli(capsys, "bound", "--which", "thm1", "--n", "6", "--k", "3")
+        code, out, _ = run_cli(capsys, "bound", "thm1", "--n", "6", "--k", "3")
         assert code == 0
         assert out.strip() == "7.756443177"
 
     def test_thm2_precision(self, capsys):
-        code, out, _ = run_cli(capsys, "bound", "--which", "thm2", "--n", "5",
-                               "--precision", "12")
+        code, out, _ = run_cli(capsys, "bound", "thm2", "--n", "5", "--precision", "12")
         assert code == 0
         assert out.strip() == "4.242640687119"
 
     def test_negative_precision_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "bound", "--which", "thm2", "--n", "5",
-                                 "--precision", "-1")
+        code, out, err = run_cli(capsys, "bound", "thm2", "--n", "5", "--precision", "-1")
         assert code == 2 and out == ""
-        assert "--precision" in err
+        assert "argument --precision: must be >= 0, got -1" in err
 
     def test_cs(self, capsys):
-        code, out, _ = run_cli(capsys, "bound", "--which", "cs", "--parts", "1,2,3")
+        code, out, _ = run_cli(capsys, "bound", "cs", "--parts", "1,2,3")
         assert code == 0
         assert out.split() == ["6.953565899", "8.270429251"]
 
     def test_missing_argument(self, capsys):
-        code, _, err = run_cli(capsys, "bound", "--which", "thm1", "--n", "6")
-        assert code == 2
+        code, out, err = run_cli(capsys, "bound", "thm1", "--n", "6")
+        assert code == 2 and out == ""
+        assert "the following arguments are required: --k" in err
 
     def test_out_of_range(self, capsys):
-        code, _, err = run_cli(capsys, "bound", "--which", "thm1", "--n", "5", "--k", "2")
-        assert code == 2
+        code, out, err = run_cli(capsys, "bound", "thm1", "--n", "5", "--k", "2")
+        assert code == 2 and out == ""
+        assert err == "error: need n >= 6 and 1 <= k <= n-2, got n=5, k=2\n"
+
+    def test_bad_parts(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "cs", "--parts", "1,0")
+        assert code == 2 and out == ""
+        assert "argument --parts: parts must be >= 1, got (1, 0)" in err
 
 
 class TestVerify:
@@ -182,17 +245,47 @@ class TestVerify:
         assert "allow-long" in err
 
     def test_monotonicity(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "monotonicity", "--n-range", "3..8",
+        code, out, _ = run_cli(capsys, "verify", "monotonicity", "--n-max", "8",
                                "--trials", "50", "--seed", "5")
         assert code == 0
         rep = Report.from_json(out)
         assert rep.cells[0]["trials"] == 50
 
     def test_bridge(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "bridge", "--n-range", "6..10")
+        code, out, _ = run_cli(capsys, "verify", "bridge", "--n-max", "10")
         assert code == 0
         rep = Report.from_json(out)
         assert len(rep.cells) == 5
+
+    def test_jobs_default_is_the_cpu_affinity(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, out, _ = run_cli(capsys, "verify", "chromatic", "--n-range", "5..5", "--chi", "3")
+        assert code == 0
+        assert Report.from_json(out).parameters["jobs"] == 1
+
+    def test_benchmark_command_lines_parse(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from run import WORKLOADS
+
+        parser = cli.build_parser()
+        assert "chi3-order9" in WORKLOADS  # run by hand, so parsed only here
+        for workload in WORKLOADS.values():
+            argv = workload.cli_args(1)
+            args = parser.parse_args(argv)
+
+            def value(flag):
+                return argv[argv.index(flag) + 1]
+
+            lo, _, hi = value("--n-range").partition("..")
+            assert argv[:2] == ["verify", args.campaign]
+            assert args.n_range == range(int(lo), int(hi) + 1)
+            assert args.jobs == int(value("--jobs")) == workload.jobs
+            assert args.allow_long == ("--allow-long" in argv)
+            if args.campaign == "chromatic":
+                assert args.value == int(value("--chi"))
+            if workload.seeded:
+                assert args.seed == 1
 
 
 class TestUsage:
@@ -213,8 +306,8 @@ class TestUsage:
         ("vertex-conn", "--n-range", "1..2"),
         ("chromatic", "--n-range", "11..11", "--chi", "3", "--allow-long", "--jobs", "2"),
         ("all", "--n-range", "1..2", "--trials", "10"),
-        ("bridge", "--n-range", "3..4"),
-        ("monotonicity", "--n-range", "3..100", "--trials", "10"),
+        ("bridge", "--n-max", "4"),
+        ("monotonicity", "--n-max", "100", "--trials", "10"),
     ])
     def test_bad_selection(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)
@@ -222,19 +315,54 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("campaign, flag", [
-        ("edge-conn", "--chi"),
-        ("vertex-conn", "--chi"),
-        ("chromatic", "--k"),
-        ("monotonicity", "--k"),
-        ("bridge", "--chi"),
-        ("all", "--k"),
+    @staticmethod
+    def assert_rejected(capsys, ran, command, leaf, flag):
+        argv = [command, leaf]
+        if command != "verify":  # every flag but --precision is required
+            for name in sorted(READS[command][leaf] - {"--precision"}):
+                argv += [name, "2,2" if name == "--parts" else "6"]
+        code, out, err = run_cli(capsys, *argv, flag, "3")
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 3" in err
+        assert ran == []
+
+    @pytest.mark.parametrize("campaign, flag", unread("verify"))
+    def test_flag_the_campaign_does_not_read(self, capsys, commands_run, campaign, flag):
+        self.assert_rejected(capsys, commands_run, "verify", campaign, flag)
+
+    @pytest.mark.parametrize("command, entry, flag",
+                             [(c, *row) for c in ("construct", "bound") for row in unread(c)])
+    def test_flag_the_entry_does_not_read(self, capsys, commands_run, command, entry, flag):
+        self.assert_rejected(capsys, commands_run, command, entry, flag)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("construct", "knk", "--n", "6"), "--k"),
+        (("bound", "cor3", "--n", "6"), "--chi"),
     ])
-    def test_flag_the_campaign_does_not_read(self, capsys, campaign, flag):
-        code, out, err = run_cli(capsys, "verify", campaign, "--n-range", "5..6", flag, "3")
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {flag} applies only to")
+    def test_missing_flag_is_named(self, capsys, commands_run, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"the following arguments are required: {flag}" in err
+        assert "NoneType" not in err
+        assert commands_run == []
+
+    @pytest.mark.parametrize("text", ["4..", "..4", "8..4", "0..3", "x"])
+    def test_malformed_range_names_the_flag(self, capsys, commands_run, text):
+        code, out, err = run_cli(capsys, "verify", "chromatic", "--n-range", text)
+        assert code == 2 and out == ""
+        assert "argument --n-range:" in err
+        assert commands_run == []
+
+    def test_every_leaf_help(self, capsys):
+        found = list(leaves(cli.build_parser()))
+        assert len(found) == 19
+        assert {(c, leaf) for c in READS for leaf in READS[c]} <= set(found)
+        for leaf in found:
+            assert main([*leaf, "--help"]) == 0
+            usage = capsys.readouterr().out
+            assert usage.startswith(f"usage: abcmax {' '.join(leaf)} [-h]")
+            for flag in READS.get(leaf[0], {}).get(leaf[-1], ()):
+                assert flag in usage
 
     def test_enumerate_above_cap_needs_flag(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--n", "9", "--connected")

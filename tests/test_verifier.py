@@ -507,8 +507,8 @@ class TestFusedScan:
         monkeypatch.setattr(verifier, "bridge_cliques_graph", crash)
         with pytest.raises(ValueError, match="6..4096, got 4097"):
             verify_bridge_rewrite(4097)
-        assert main(["verify", "bridge", "--n-range", "4097..4097"]) == 2
-        assert "4097" in capsys.readouterr().err
+        assert main(["verify", "bridge", "--n-max", "4097"]) == 2
+        assert capsys.readouterr().err == "error: n_max must be in 6..4096, got 4097\n"
 
     def test_seeds_listed_once_per_order(self, monkeypatch):
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)

@@ -180,8 +180,9 @@ class KaramataResult:
         return self.holds
 
 
-def majorizes(a: Sequence[float], b: Sequence[float], tol: float = STRICT_GAP_TOL) -> bool:
-    """True when every prefix sum of a dominates b's and the totals agree."""
+def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
+    """True when every prefix sum of a dominates b's and the totals agree,
+    both up to STRICT_GAP_TOL."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     for seq, name in ((a, "a"), (b, "b")):
@@ -191,20 +192,17 @@ def majorizes(a: Sequence[float], b: Sequence[float], tol: float = STRICT_GAP_TO
     for ai, bi in zip(a, b):
         pa += ai
         pb += bi
-        if pa < pb - tol:
+        if pa < pb - STRICT_GAP_TOL:
             return False
-    return abs(pa - pb) <= tol
+    return abs(pa - pb) <= STRICT_GAP_TOL
 
 
 def karamata_check(
-    a: Sequence[float],
-    b: Sequence[float],
-    convex_fn: Callable[[float], float],
-    tol: float = STRICT_GAP_TOL,
+    a: Sequence[float], b: Sequence[float], convex_fn: Callable[[float], float]
 ) -> KaramataResult:
     """Majorization premise plus the convex-sum conclusion it forces:
     when a majorizes b, sum convex_fn(a_i) >= sum convex_fn(b_i)."""
-    major = majorizes(a, b, tol)
+    major = majorizes(a, b)
     sum_a = math.fsum(convex_fn(v) for v in a)
     sum_b = math.fsum(convex_fn(v) for v in b)
-    return KaramataResult(major, sum_a >= sum_b - tol)
+    return KaramataResult(major, sum_a >= sum_b - STRICT_GAP_TOL)

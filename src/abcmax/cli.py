@@ -40,7 +40,10 @@ DEFAULT_PRECISION = 9
 
 
 def _precision(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -49,7 +52,10 @@ def _precision(text: str) -> int:
 def _order_range(text: str) -> range:
     """A..B or a single order A, with 1 <= A <= B."""
     lo_s, dots, hi_s = text.partition("..")
-    lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}") from None
     if not 1 <= lo <= hi:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
     return range(lo, hi + 1)
@@ -204,7 +210,7 @@ def _add_entries(parser, dest, table, flags, func, *shared) -> None:
         p = sub.add_parser(name, help=help_text, description=help_text)
         for flag in (*reads, *shared):
             p.add_argument(flag, **flags[flag])
-        p.set_defaults(func=func, entry=entry, reads=reads)
+        p.set_defaults(func=func, entry=entry, reads=reads, parser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="JSON invariants for graph6 input")
     p.add_argument("--g6", help="single graph6 text (default: read lines from stdin)")
     p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
-    p.set_defaults(func=_cmd_invariants)
+    p.set_defaults(func=_cmd_invariants, parser=p)
 
     p = sub.add_parser("enumerate", help="stream graphs of order n up to isomorphism")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--connected", action="store_true", help="connected classes only")
     p.add_argument("--allow-long", action="store_true")
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func=_cmd_enumerate, parser=p)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
     _add_entries(p, "which", _BOUNDS, _PARAMS, _cmd_bound, "--precision")
@@ -253,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # name them in the usage of the leaf that was chosen
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

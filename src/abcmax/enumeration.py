@@ -22,8 +22,11 @@ has the least degree, then the least stable colour, then the least
 canonical form of h - v (h - z is g itself).  Whether a vertex passes
 depends only on h up to isomorphism, so each class is produced from
 exactly one parent class, and no memory-resident global seen-set is
-needed.  The stream order is a fixed depth-first order, identical across
-runs, and disjoint subtrees can be expanded independently by workers.
+needed.  `expand_seed` is the one walk of this tree: a fixed depth-first
+order, identical across runs, in which every graph is its parent plus a
+last vertex (its rows minus that vertex are the parent's rows) and the
+children of one parent arrive together.  `connected_graphs` is the walk
+from K_1, and disjoint subtrees can be expanded independently by workers.
 
 Orbit skip: every parent g gets its canonical search up front, and the
 search also yields Aut(g).  Two leaves whose relabelled matrices are equal,
@@ -72,15 +75,16 @@ form.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations_with_replacement
-from typing import Iterator, Optional
+from functools import lru_cache, reduce
+from itertools import chain, combinations_with_replacement, product
+from typing import Iterator
 
 from .graphs import Graph, _bits, _graph6, disjoint_union
 
 MAX_CANONICAL_ORDER = 16
 DEFAULT_ENUMERATION_CAP = 8
 LONG_RUN_CAP = 10
+RESIDENT_N_MAX = 8  # largest order whose class list is kept in memory
 
 # row mask -> its set bits; a pure cache, one entry per mask below 2**n seen
 _NEIGHBOURS: dict[int, tuple[int, ...]] = {}
@@ -465,14 +469,6 @@ def _children(rows, k: int) -> Iterator[tuple[int, ...]]:
             yield child_rows
 
 
-def _expand(rows, k: int, n_target: int) -> Iterator[tuple[int, ...]]:
-    if k == n_target:
-        yield rows
-        return
-    for child_rows in _children(rows, k):
-        yield from _expand(child_rows, k + 1, n_target)
-
-
 def check_order(n: int, allow_long: bool) -> None:
     cap = LONG_RUN_CAP if allow_long else DEFAULT_ENUMERATION_CAP
     if not 1 <= n <= cap:
@@ -483,30 +479,37 @@ def check_order(n: int, allow_long: bool) -> None:
 
 
 def connected_graphs(n: int, allow_long: bool = False) -> Iterator[Graph]:
-    """All connected graphs on n vertices, one per isomorphism class."""
+    """All connected graphs on n vertices, one per isomorphism class; the
+    order is checked at the call."""
     check_order(n, allow_long)
-    for rows in _expand((0,), 1, n):
-        yield Graph(n, rows)
+    return expand_seed((0,), n)
 
 
 @lru_cache(maxsize=None)
 def connected_graph_list(n: int) -> tuple[Graph, ...]:
     """Cached stream for the orders small enough to keep resident; each
     order is grown from the cached order below it."""
-    if n > 8:
-        raise ValueError("cached enumeration only for n <= 8; stream larger orders")
+    if n > RESIDENT_N_MAX:
+        raise ValueError(f"cached enumeration only for n <= {RESIDENT_N_MAX}; stream larger orders")
     if n <= 1:
         return tuple(connected_graphs(n))
     return tuple(g for seed in connected_graph_list(n - 1) for g in expand_seed(seed.rows, n))
 
 
 def expand_seed(rows: tuple[int, ...], n_target: int) -> Iterator[Graph]:
-    """The subtree of the class with these rows, grown to order n_target.
-    Expanding every class of connected_graph_list(k), k <= n_target, in list
-    order reproduces the connected_graphs(n_target) stream exactly."""
-    k = len(rows)
-    for child_rows in _expand(rows, k, n_target):
-        yield Graph(n_target, child_rows)
+    """The subtree of the class with these rows, grown to order n_target:
+    the one walk of the augmentation tree.
+
+    Every graph it yields is a parent grown by one last vertex: its rows
+    minus that vertex are the rows of the parent it was grown from, and
+    the children of one parent are yielded together.  Expanding every
+    class of connected_graph_list(k), k <= n_target, in list order
+    reproduces the connected_graphs(n_target) stream exactly."""
+    if len(rows) == n_target:
+        yield Graph(n_target, rows)
+        return
+    for child_rows in _children(rows, len(rows)):
+        yield from expand_seed(child_rows, n_target)
 
 
 def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -522,33 +525,17 @@ def all_graphs(n: int, allow_long: bool = False) -> Iterator[Graph]:
     """All graphs on n vertices up to isomorphism, as multisets of
     connected components (a class is exactly its component multiset).
 
-    The connected graphs, partition (n,), are streamed; the smaller
-    component pools are built when a partition first needs them."""
+    The connected graphs, partition (n,), are streamed first.  Each other
+    partition is one product over its component sizes, largest first; a
+    size above RESIDENT_N_MAX is drawn from connected_graphs, not from the
+    cached list."""
     check_order(n, allow_long)
     yield from connected_graphs(n, allow_long)
-    pools: dict[int, tuple[Graph, ...]] = {}
-
-    def pool(size: int) -> tuple[Graph, ...]:
-        if size not in pools:
-            pools[size] = (connected_graph_list(size) if size <= 8
-                           else tuple(connected_graphs(size, allow_long)))
-        return pools[size]
-
     for partition in _partitions(n, n - 1):
-        sizes = sorted(set(partition), reverse=True)
-        choices_per_size = []
-        for size in sizes:
-            count = partition.count(size)
-            choices_per_size.append(
-                list(combinations_with_replacement(pool(size), count))
-            )
-        def build(idx: int, acc: Optional[Graph]) -> Iterator[Graph]:
-            if idx == len(choices_per_size):
-                yield acc
-                return
-            for combo in choices_per_size[idx]:
-                g = acc
-                for comp in combo:
-                    g = comp if g is None else disjoint_union(g, comp)
-                yield from build(idx + 1, g)
-        yield from build(0, None)
+        groups = []
+        for size in sorted(set(partition), reverse=True):
+            pool = (connected_graph_list(size) if size <= RESIDENT_N_MAX
+                    else connected_graphs(size, allow_long))
+            groups.append(combinations_with_replacement(pool, partition.count(size)))
+        for choice in product(*groups):
+            yield reduce(disjoint_union, chain.from_iterable(choice))

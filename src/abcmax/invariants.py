@@ -16,6 +16,8 @@ from decimal import Decimal, localcontext
 
 from .graphs import Graph
 
+TIE_DIGITS = 40  # significant decimals of abc_index_decimal
+
 
 def f_abc(a, b) -> float:
     """Edge contribution sqrt((a+b-2)/(a*b)) for endpoint degrees a, b >= 1."""
@@ -49,14 +51,14 @@ def abc_index(g: Graph) -> float:
     return math.fsum(terms)
 
 
-def abc_index_decimal(g: Graph, digits: int = 40) -> Decimal:
-    """ABC index at `digits` significant decimals, for tie adjudication.
+def abc_index_decimal(g: Graph) -> Decimal:
+    """ABC index at TIE_DIGITS significant decimals, for tie adjudication.
 
     Terms are sorted before summation so equal degree-pair multisets give
     identical Decimal values.
     """
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = TIE_DIGITS
         terms: list[Decimal] = []
         for (a, b), count in _degree_pairs(g).items():
             terms += [(Decimal(a + b - 2) / Decimal(a * b)).sqrt()] * count

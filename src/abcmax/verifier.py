@@ -68,8 +68,7 @@ from .graphs import (
 from .invariants import abc_index, abc_index_decimal
 
 SCHEMA_VERSION = "1"
-EPSILON = 1e-9  # near-tie window; everything within it is re-checked at TIE_DIGITS
-TIE_DIGITS = 40
+EPSILON = 1e-9  # near-tie window; everything within it is re-checked by abc_index_decimal
 TIE_TOL = Decimal("1e-20")
 SEED_DEPTH = 7  # order of the subtree roots a scan is split into
 MONOTONICITY_N_MAX = 12  # largest order the battery's monotonicity trials draw
@@ -81,7 +80,7 @@ CONSTRAINT_KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic
 @dataclass(frozen=True)
 class ConstraintSpec:
     kind: str
-    value: Optional[int] = None
+    value: int
 
     def __post_init__(self):
         if self.kind not in CONSTRAINT_KINDS:
@@ -345,7 +344,7 @@ def _finalize_cell(n: int, c: ConstraintSpec, accum: _Accum) -> dict:
     runner_up_gap = matches = reverified = None
     verdict = None if klass == "must-match" else "vacuous"
     if accum.scanned:  # an empty cell has no match, so a must-match one fails
-        decimals = {g6: abc_index_decimal(decode_graph6(g6), TIE_DIGITS) for _, g6 in accum.cands}
+        decimals = {g6: abc_index_decimal(decode_graph6(g6)) for _, g6 in accum.cands}
         vmax = max(decimals.values())
         maximizers = sorted(g6 for g6, d in decimals.items() if vmax - d <= TIE_TOL)
         near = [
@@ -593,11 +592,6 @@ def verify_monotonicity(trials: int, n_max: int, seed: int) -> Report:
     return Report("monotonicity", params, [cell], totals)
 
 
-def _check_bridge_args(n_max: int) -> None:
-    if not 6 <= n_max <= MAX_VERTICES:
-        raise ValueError(f"n_max must be in 6..{MAX_VERTICES}, got {n_max}")
-
-
 def verify_bridge_rewrite(n_max: int) -> Report:
     """Shrinking the small side of a bridged clique pair must raise ABC, every
     step down to the pendant-clique endpoint of the chain.
@@ -608,7 +602,8 @@ def verify_bridge_rewrite(n_max: int) -> Report:
     vertex hangs on u; each of the other n-2 vertices then has n-3
     neighbours besides u, none of them the pendant one, so they are pairwise
     adjacent and form K_{n-1} with u."""
-    _check_bridge_args(n_max)
+    if not 6 <= n_max <= MAX_VERTICES:
+        raise ValueError(f"n_max must be in 6..{MAX_VERTICES}, got {n_max}")
     t0 = time.monotonic()
     cells = []
     for n in range(6, n_max + 1):

@@ -323,6 +323,7 @@ class TestUsage:
                 argv += [name, "2,2" if name == "--parts" else "6"]
         code, out, err = run_cli(capsys, *argv, flag, "3")
         assert code == 2 and out == ""
+        assert err.startswith(f"usage: abcmax {command} {leaf} [-h]")  # the leaf's usage
         assert f"unrecognized arguments: {flag} 3" in err
         assert ran == []
 
@@ -334,6 +335,16 @@ class TestUsage:
                              [(c, *row) for c in ("construct", "bound") for row in unread(c)])
     def test_flag_the_entry_does_not_read(self, capsys, commands_run, command, entry, flag):
         self.assert_rejected(capsys, commands_run, command, entry, flag)
+
+    @pytest.mark.parametrize("argv", [
+        ("invariants", "--g6", "C~", "--jobs", "3"),
+        ("enumerate", "--n", "3", "--precision", "3"),
+    ])
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: abcmax {argv[0]} [-h]")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (("construct", "knk", "--n", "6"), "--k"),
@@ -351,6 +362,18 @@ class TestUsage:
         code, out, err = run_cli(capsys, "verify", "chromatic", "--n-range", text)
         assert code == 2 and out == ""
         assert "argument --n-range:" in err
+        assert "_order_range" not in err  # not the private type function
+        assert commands_run == []
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "thm1", "--n", "6", "--k", "3", "--precision", "x"),
+        ("invariants", "--precision", "x"),
+    ])
+    def test_malformed_precision_names_the_flag(self, capsys, commands_run, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "argument --precision: not an integer: 'x'" in err
+        assert "_precision" not in err
         assert commands_run == []
 
     def test_every_leaf_help(self, capsys):

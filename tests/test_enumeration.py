@@ -82,6 +82,12 @@ def compare_forms(g: Graph, h: Graph) -> tuple[bool, bool]:
     return a < b, a == b
 
 
+def parent_rows(g: Graph) -> tuple[int, ...]:
+    """The rows of g minus its last vertex."""
+    low = (1 << (g.n - 1)) - 1
+    return tuple(r & low for r in g.rows[:-1])
+
+
 def reference_children(rows, k: int):
     """`_children` without the orbit skip: every subset is tried, and forms
     are compared as graph6 bytes."""
@@ -512,6 +518,27 @@ class TestConnectedEnumeration:
         with pytest.raises(ValueError):
             next(connected_graphs(11, allow_long=True))
 
+    def test_order_checked_at_the_call(self):
+        # before any next(): the walk is returned, not run, by connected_graphs
+        with pytest.raises(ValueError):
+            connected_graphs(9)
+        with pytest.raises(ValueError):
+            connected_graphs(11, allow_long=True)
+
+    def test_every_graph_is_its_parent_plus_a_last_vertex(self):
+        # the parent property the verifier's scan kernel decides graphs by
+        for n in range(3, 9):
+            for seed in connected_graph_list(n - 1):
+                for g in expand_seed(seed.rows, n):
+                    assert parent_rows(g) == seed.rows
+
+    def test_siblings_are_consecutive(self):
+        parents = [parent_rows(g)
+                   for seed in connected_graph_list(6) for g in expand_seed(seed.rows, 8)]
+        runs = [rows for i, rows in enumerate(parents) if i == 0 or rows != parents[i - 1]]
+        assert len(parents) == CONNECTED_COUNTS[8]
+        assert len(runs) == len(set(runs)) == CONNECTED_COUNTS[7]
+
     def test_subtree_partition_reproduces_stream(self):
         whole = [encode_graph6(g) for g in connected_graphs(7)]
         seeds = connected_graph_list(4)
@@ -535,8 +562,7 @@ class TestConnectedEnumeration:
 class TestAllGraphs:
     def test_counts(self):
         for n, expected in ALL_GRAPH_COUNTS.items():
-            if n <= 6:
-                assert sum(1 for _ in all_graphs(n)) == expected
+            assert sum(1 for _ in all_graphs(n)) == expected
 
     def test_no_duplicates_n5(self):
         forms = [canonical_form(g) for g in all_graphs(5)]
@@ -547,6 +573,23 @@ class TestAllGraphs:
 
     def test_stream_pinned_n6(self):
         stream = "\n".join(encode_graph6(g) for g in all_graphs(6))
+        assert hashlib.sha256(stream.encode()).hexdigest() == (
+            "54ae8a89a2605c7c02c3038a729f641af60452af928f2dabbc3aaf673d32728f")
+
+    def test_streamed_pool_pinned_n6(self, monkeypatch):
+        # below the resident order the size-5 components come from the
+        # connected_graphs stream, in the same order as from the list
+        sizes = []
+        streamed = enumeration.connected_graphs
+
+        def recording(n, allow_long=False):
+            sizes.append(n)
+            return streamed(n, allow_long)
+
+        monkeypatch.setattr(enumeration, "RESIDENT_N_MAX", 4)
+        monkeypatch.setattr(enumeration, "connected_graphs", recording)
+        stream = "\n".join(encode_graph6(g) for g in all_graphs(6))
+        assert sizes == [6, 5]
         assert hashlib.sha256(stream.encode()).hexdigest() == (
             "54ae8a89a2605c7c02c3038a729f641af60452af928f2dabbc3aaf673d32728f")
 

@@ -132,7 +132,7 @@ class TestAbcIndex:
 
     def test_decimal_precision(self):
         # K_4: six edges of f(3,3) = 2/3 exactly
-        d = abc_index_decimal(complete_graph(4), digits=40)
+        d = abc_index_decimal(complete_graph(4))
         assert abs(d - 4) < Decimal("1e-37")
 
 

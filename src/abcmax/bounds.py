@@ -176,9 +176,6 @@ class KaramataResult:
     def holds(self) -> bool:
         return self.majorizes and self.convex_sum_holds
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
     """True when every prefix sum of a dominates b's and the totals agree,

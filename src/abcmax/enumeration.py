@@ -133,7 +133,7 @@ def _canonical_cols(n: int, rows, colors=None, autos=None) -> list[int]:
     if n == 1:
         return [0]
     if colors is None:
-        colors = _refinement_colors(n, rows)
+        colors = _refinement_colors(rows)
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
@@ -259,7 +259,7 @@ def _refinement_rounds(rows) -> Iterator[list[int]]:
         count = len(rank)
 
 
-def _refinement_colors(n: int, rows) -> list[int]:
+def _refinement_colors(rows) -> list[int]:
     """The stable colours of degree refinement."""
     for colors in _refinement_rounds(rows):
         pass

@@ -74,7 +74,13 @@ SEED_DEPTH = 7  # order of the subtree roots a scan is split into
 MONOTONICITY_N_MAX = 12  # largest order the battery's monotonicity trials draw
 BRIDGE_N_MAX = 100  # largest order the battery's bridge-rewrite run checks
 
-CONSTRAINT_KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq")
+_KIND_TO_CAMPAIGN = {
+    "edge_connectivity_eq": "edge-conn",
+    "vertex_connectivity_eq": "vertex-conn",
+    "chromatic_eq": "chromatic",
+}
+CONSTRAINT_KINDS = tuple(_KIND_TO_CAMPAIGN)
+_CAMPAIGN_TO_KIND = {campaign: kind for kind, campaign in _KIND_TO_CAMPAIGN.items()}
 
 
 @dataclass(frozen=True)
@@ -92,50 +98,33 @@ class ConstraintSpec:
             raise ValueError(f"connectivity constraint needs value >= 1, got {self.value}")
 
 
-def predicted_graph(n: int, c: ConstraintSpec) -> Optional[Graph]:
-    """The family member expected to win the cell, when one is defined."""
-    if c.kind in ("edge_connectivity_eq", "vertex_connectivity_eq"):
-        if 1 <= c.value <= n - 2:
-            return kn_k_graph(n, c.value)
-        if c.value == n - 1:
-            return complete_graph(n)
-        return None
-    if 2 <= c.value <= n:
-        return turan_graph(n, c.value)
-    return None
+def _cell_rule(n: int, c: ConstraintSpec) -> tuple[str, Optional[Graph], Optional[str], Optional[float]]:
+    """What is settled about the cell (n, c) before its scan, as
+    (cell_class, predicted, bound_name, bound):
 
-
-def cell_class(n: int, c: ConstraintSpec) -> str:
-    """'must-match' where the extremal structure is settled, else 'evidence'."""
-    if c.kind == "edge_connectivity_eq":
-        if c.value == 1 or c.value == n - 1:
-            return "must-match"
-        return "must-match" if n >= 6 else "evidence"
+    - cell_class: 'must-match' where the maximizer is settled (chi = 2 or
+      chi | n; kappa = k; lambda = k at k = 1, at k = n - 1 or from order
+      6), so the scan must reproduce `predicted`; 'evidence' where the
+      statement is open, so the cell gets a confirmed/refuted verdict;
+    - predicted: the family member expected to win (K_n(k), K_n at
+      k = n - 1, or the Turan graph T(n, k)), None where none is defined;
+    - bound_name and bound: the closed-form cap on the cell's maximum and
+      its value, both None where no cap applies.
+    """
+    k = c.value
     if c.kind == "chromatic_eq":
-        if c.value == 2:
-            return "must-match"
-        return "must-match" if n % c.value == 0 else "evidence"
-    return "must-match"
-
-
-def cell_bound(n: int, c: ConstraintSpec):
-    """Closed-form cap for the cell's maximum, where one applies."""
-    if c.kind in ("edge_connectivity_eq", "vertex_connectivity_eq"):
-        if n >= 6 and 1 <= c.value <= n - 2:
-            return "edge_connectivity_bound", bounds.edge_connectivity_bound(n, c.value)
-    elif c.kind == "chromatic_eq":
-        if c.value == 2:
-            return "bipartite_bound", bounds.bipartite_bound(n)
-        if n % c.value == 0:
-            return "chromatic_bound", bounds.chromatic_bound(n, c.value)
-    return None, None
-
-
-_KIND_TO_CAMPAIGN = {
-    "edge_connectivity_eq": "edge-conn",
-    "vertex_connectivity_eq": "vertex-conn",
-    "chromatic_eq": "chromatic",
-}
+        pred = turan_graph(n, k) if k <= n else None
+        if k == 2:
+            return "must-match", pred, "bipartite_bound", bounds.bipartite_bound(n)
+        if n % k == 0:
+            return "must-match", pred, "chromatic_bound", bounds.chromatic_bound(n, k)
+        return "evidence", pred, None, None
+    pred = kn_k_graph(n, k) if k <= n - 2 else complete_graph(n) if k == n - 1 else None
+    settled = c.kind == "vertex_connectivity_eq" or k in (1, n - 1) or n >= 6
+    klass = "must-match" if settled else "evidence"
+    if n >= 6 and k <= n - 2:
+        return klass, pred, "edge_connectivity_bound", bounds.edge_connectivity_bound(n, k)
+    return klass, pred, None, None
 
 
 class _Accum:
@@ -336,9 +325,7 @@ def _reverify(g: Graph, c: ConstraintSpec) -> bool:
 
 def _finalize_cell(n: int, c: ConstraintSpec, accum: _Accum) -> dict:
     """The report cell of one (n, constraint) scan."""
-    klass = cell_class(n, c)
-    bname, bval = cell_bound(n, c)
-    pred = predicted_graph(n, c)
+    klass, pred, bname, bval = _cell_rule(n, c)
     maximizers: list[str] = []
     near: list[dict] = []
     runner_up_gap = matches = reverified = None
@@ -423,19 +410,20 @@ class Report:
         ]
 
 
-_CAMPAIGN_TO_KIND = {campaign: kind for kind, campaign in _KIND_TO_CAMPAIGN.items()}
+def _report(campaign: str, params: dict, cells: list[dict], t0: float, **counts) -> Report:
+    """The report of a run begun at monotonic time t0; `counts` join its totals."""
+    totals = {"cells": len(cells), **counts, "wall_time_s": round(time.monotonic() - t0, 3)}
+    return Report(campaign, params, cells, totals)
 
 
 def _campaign_values(campaign: str, n: int, values) -> list[int]:
-    if values is not None:
-        vals = list(values)
-    elif campaign == "chromatic":
-        vals = list(range(2, n + 1))
-    else:
-        vals = list(range(1, n - 1))
-    if campaign == "chromatic":
-        return [v for v in vals if 2 <= v <= n]
-    return [v for v in vals if 1 <= v <= n - 1]
+    """The admitted values among `values`: chi in 2..n, lambda and kappa in
+    1..n - 1.  By default a connectivity campaign leaves out n - 1, whose
+    only graph is K_n."""
+    lo, hi = (2, n) if campaign == "chromatic" else (1, n - 1)
+    if values is None:
+        values = range(lo, hi + 1 if campaign == "chromatic" else hi)
+    return [v for v in values if lo <= v <= hi]
 
 
 def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
@@ -512,12 +500,7 @@ def run_campaign(
         "jobs": jobs,
         "allow_long": allow_long,
     }
-    totals = {
-        "cells": len(cells),
-        "graphs_scanned": graphs_scanned,
-        "wall_time_s": round(time.monotonic() - t0, 3),
-    }
-    return Report(campaign, params, cells, totals)
+    return _report(campaign, params, cells, t0, graphs_scanned=graphs_scanned)
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
@@ -588,8 +571,7 @@ def verify_monotonicity(trials: int, n_max: int, seed: int) -> Report:
         "matches": not violations,
     }
     params = {"campaign": "monotonicity", "trials": trials, "n_max": n_max, "seed": seed}
-    totals = {"cells": 1, "trials": trials, "wall_time_s": round(time.monotonic() - t0, 3)}
-    return Report("monotonicity", params, [cell], totals)
+    return _report("monotonicity", params, [cell], t0, trials=trials)
 
 
 def verify_bridge_rewrite(n_max: int) -> Report:
@@ -624,12 +606,7 @@ def verify_bridge_rewrite(n_max: int) -> Report:
             "matches": not violations and chain_end_matches,
         })
     params = {"campaign": "bridge", "n_max": n_max}
-    totals = {
-        "cells": len(cells),
-        "comparisons": sum(c["comparisons"] for c in cells),
-        "wall_time_s": round(time.monotonic() - t0, 3),
-    }
-    return Report("bridge", params, cells, totals)
+    return _report("bridge", params, cells, t0, comparisons=sum(c["comparisons"] for c in cells))
 
 
 def run_full_battery(
@@ -663,9 +640,4 @@ def run_full_battery(
         "bridge_n_max": BRIDGE_N_MAX,
         "allow_long": allow_long,
     }
-    totals = {
-        "cells": len(cells),
-        "graphs_scanned": graphs_scanned,
-        "wall_time_s": round(time.monotonic() - t0, 3),
-    }
-    return Report("all", params, cells, totals)
+    return _report("all", params, cells, t0, graphs_scanned=graphs_scanned)

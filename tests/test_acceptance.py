@@ -6,9 +6,11 @@ order-9 chromatic cell) are shared module-wide, so the whole file stays a
 few minutes even single-worker.
 """
 
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ from abcmax.verifier import (
 )
 
 JOBS = 2  # all aggregates are worker-count independent (criterion 10 checks this)
+GOLDEN_CELLS = Path(__file__).parent / "golden" / "acceptance-cells.json"
 
 
 def record(ok: bool, line: str) -> None:
@@ -82,6 +85,14 @@ def cell_for(cells, n, value):
 def gap_ok(cell):
     # a cell whose class has a single member has no runner-up at all
     return cell["runner_up_gap"] is None or cell["runner_up_gap"] > 1e-9
+
+
+def test_report_bytes_pinned(battery_cells, chromatic9_cell):
+    # the cells' bytes, including every graph6 representative, as committed;
+    # a change that emits other representatives on purpose re-pins the file
+    text = json.dumps({"battery_cells": battery_cells, "chromatic9_cell": chromatic9_cell},
+                      sort_keys=True, indent=1) + "\n"
+    assert text == GOLDEN_CELLS.read_text()
 
 
 def test_criterion_1_closed_form_agreement():

@@ -222,7 +222,7 @@ class TestKaramata:
     def test_reversed_roles_fail(self):
         res = karamata_check((2.0, 2.0), (3.0, 1.0), lambda v: v * v)
         assert not res.majorizes
-        assert not res
+        assert not res.holds
 
     def test_clique_side_pairs(self):
         # (y, x-2) majorizes (y-1, x-1) whenever y >= x; convexity then orders the sums

@@ -3,6 +3,8 @@ import io
 import json
 import multiprocessing
 import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -413,3 +415,29 @@ class TestUsage:
             assert err.strip().splitlines() == ["error: RuntimeError('boom')"]
             assert not out_file.exists()
             assert multiprocessing.active_children() == []
+
+
+class TestReadme:
+    """README's examples run against the CLI and the library as they are."""
+
+    def blocks(self, lang):
+        return re.findall(rf"^```{lang}\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                          re.DOTALL | re.MULTILINE)
+
+    def test_every_command_parses(self):
+        commands = [
+            part.strip()
+            for block in self.blocks("")
+            for line in block.splitlines()
+            for part in line.split("#")[0].split("|")
+            if part.strip().startswith("abcmax ")
+        ]
+        assert len(commands) == 15
+        for command in commands:
+            cli.build_parser().parse_args(shlex.split(command)[1:])
+
+    def test_library_snippet_runs(self):
+        snippet, = self.blocks("python")
+        namespace = {}
+        exec(snippet, namespace)
+        assert namespace["cell"]["matches"] is True

@@ -123,7 +123,7 @@ def reference_children(rows, k: int):
         if ties:
             ties = [v for v in ties if _reconnects(comps[v], sub)]
         if ties:
-            colors = _refinement_colors(nh, hr)
+            colors = _refinement_colors(hr)
             cz = colors[z]
             if any(colors[v] < cz for v in ties):
                 continue
@@ -136,7 +136,7 @@ def reference_children(rows, k: int):
 
         # accepted: dedup against same-parent siblings
         if colors is None:
-            colors = _refinement_colors(nh, hr)
+            colors = _refinement_colors(hr)
         child = Graph(nh, tuple(hr))
         bucket = seen_fps.setdefault(_fingerprint(nh, hr, colors), [])
         if not any(compare_forms(child, other)[1] for other in bucket):
@@ -294,7 +294,7 @@ class TestRefinement:
     def test_equals_reference_on_every_class_n_le_7(self):
         for n in range(1, 8):
             for g in all_graphs(n):
-                assert _refinement_colors(n, g.rows) == reference_refinement_colors(n, g.rows)
+                assert _refinement_colors(g.rows) == reference_refinement_colors(n, g.rows)
 
     def test_equals_reference_on_random_graphs(self):
         rng = random.Random(7)
@@ -302,7 +302,7 @@ class TestRefinement:
         assert any(not is_connected(g) for g in graphs)
         assert any(0 in g.degrees() for g in graphs if g.n > 1)
         for g in graphs:
-            assert _refinement_colors(g.n, g.rows) == reference_refinement_colors(g.n, g.rows)
+            assert _refinement_colors(g.rows) == reference_refinement_colors(g.n, g.rows)
 
 
 def reference_tie_decision(n: int, rows, z: int, ties: list[int]):

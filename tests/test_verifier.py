@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from abcmax import verifier
+from abcmax import bounds, verifier
 from abcmax.cli import main
 from abcmax.coloring import chromatic_number
 from abcmax.connectivity import (
@@ -36,8 +36,6 @@ from abcmax.graphs import (
 from abcmax.verifier import (
     ConstraintSpec,
     Report,
-    cell_class,
-    predicted_graph,
     run_campaign,
     run_full_battery,
     verify_bridge_rewrite,
@@ -60,6 +58,9 @@ class TestConstraintSpec:
                 ConstraintSpec(kind, 3)
 
     def test_predictions(self):
+        def predicted_graph(n, c):
+            return verifier._cell_rule(n, c)[1]
+
         assert are_isomorphic(
             predicted_graph(6, ConstraintSpec("edge_connectivity_eq", 3)), kn_k_graph(6, 3))
         assert predicted_graph(6, ConstraintSpec("edge_connectivity_eq", 5)) == complete_graph(6)
@@ -68,6 +69,9 @@ class TestConstraintSpec:
         assert predicted_graph(6, ConstraintSpec("chromatic_eq", 7)) is None
 
     def test_cell_classes(self):
+        def cell_class(n, c):
+            return verifier._cell_rule(n, c)[0]
+
         assert cell_class(5, ConstraintSpec("edge_connectivity_eq", 1)) == "must-match"
         assert cell_class(5, ConstraintSpec("edge_connectivity_eq", 2)) == "evidence"
         assert cell_class(6, ConstraintSpec("edge_connectivity_eq", 2)) == "must-match"
@@ -75,6 +79,24 @@ class TestConstraintSpec:
         assert cell_class(6, ConstraintSpec("chromatic_eq", 3)) == "must-match"
         assert cell_class(7, ConstraintSpec("chromatic_eq", 2)) == "must-match"
         assert cell_class(7, ConstraintSpec("vertex_connectivity_eq", 3)) == "must-match"
+
+    @pytest.mark.parametrize("n, kind, value, klass, bound_name, bound", [
+        (5, "edge_connectivity_eq", 2, "evidence", None, None),
+        (6, "edge_connectivity_eq", 4, "must-match", "edge_connectivity_bound",
+         bounds.edge_connectivity_bound(6, 4)),
+        (6, "vertex_connectivity_eq", 4, "must-match", "edge_connectivity_bound",
+         bounds.edge_connectivity_bound(6, 4)),
+        (6, "edge_connectivity_eq", 5, "must-match", None, None),
+        (7, "chromatic_eq", 2, "must-match", "bipartite_bound", bounds.bipartite_bound(7)),
+        (9, "chromatic_eq", 3, "must-match", "chromatic_bound", bounds.chromatic_bound(9, 3)),
+        (7, "chromatic_eq", 3, "evidence", None, None),
+        # lambda = n admits no graph; only a hand-built cell reaches it
+        (6, "edge_connectivity_eq", 6, "must-match", None, None),
+        (5, "edge_connectivity_eq", 5, "evidence", None, None),
+    ])
+    def test_cell_bounds(self, n, kind, value, klass, bound_name, bound):
+        rule = verifier._cell_rule(n, ConstraintSpec(kind, value))
+        assert (rule[0], rule[2], rule[3]) == (klass, bound_name, bound)
 
 
 def one_cell(campaign: str, n: int, value: int) -> dict:

@@ -6,14 +6,14 @@ tracks the ABC maximum together with everything within the fixed window
 EPSILON of it, re-evaluates that near-tie set at 40 significant decimals,
 and only then declares a unique maximizer or a genuine tie.
 
-A scan of order n has one path.  An order n <= SEED_DEPTH is one pass over
-its cached class list, which holds the children of every class of order
-n - 1, each parent's together.  A higher order is split into the
+A scan of order n has one path.  An order n <= SEED_DEPTH is one task, a
+pass over its cached class list, which holds the children of every class
+of order n - 1, each parent's together.  A higher order is split into the
 canonical-parent subtrees rooted at the cached classes of order
-SEED_DEPTH; each task streams its subtree through every cell of the order
-and returns one partial per cell, and the partials are folded into the
-cells in task order.  The fold is an associative, commutative reduction,
-so worker count never changes a result field.
+SEED_DEPTH, one task each.  A task streams its graphs through every cell
+of the order and returns one partial per cell, and the partials are folded
+into the cells in task order.  The fold is an associative, commutative
+reduction, so worker count never changes a result field.
 
 Every graph is thus its parent plus one last vertex, and siblings arrive
 one after another.  The kernel keeps the state of the current parent
@@ -25,14 +25,15 @@ the lemmas leave a child undecided; a graph whose parent has fewer than
 two vertices or is disconnected, which the lemmas do not cover, is decided
 from scratch.
 
-Worker count only decides where the work runs.  With jobs > 1 a campaign
-forks one pool, after the class lists are built, so that the workers
-inherit them.  The battery's property runs go to it first, then the
-subtrees of every order above SEED_DEPTH; the lower orders are scanned in
-this process meanwhile, and every fold checks the property runs, so that
-a failed one stops the campaign.  With jobs = 1 the property runs come
-before the scans.  Each public entry point checks the order cap and its
-arguments once, before any fork or work.
+Worker count only decides where the work runs.  A campaign is one ordered
+list of tasks: the battery's property runs, then the tasks of each order.
+With one worker `map` runs them in this process; with more, the `imap` of
+one fork pool runs them, forked after the class lists are built so that
+the workers inherit them.  The worker count is min(jobs, number of tasks).
+This process takes the results in task order either way, the property
+reports first, so a failed property run stops the campaign before any
+fold.  Each public entry point checks the order cap and its arguments once,
+before any fork or work.
 """
 
 from __future__ import annotations
@@ -280,35 +281,18 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec])
     return accums, streamed
 
 
-def _scan_subtree(task):
-    rows, n, constraints = task
+def _scan_subtree(rows: tuple[int, ...], n: int, constraints: Sequence[ConstraintSpec]):
+    """The partials of the order-n graphs in the subtree rooted at `rows`."""
     return _scan_kernel(expand_seed(rows, n), constraints)
 
 
-def _scan_cells(
-    n: int, constraints: Sequence[ConstraintSpec], seeds: Sequence[Graph], pool, jobs: int,
-    runs=(),
-) -> tuple[list[dict], int]:
-    """Every cell of order n.  `seeds` are the classes of order
-    min(n, SEED_DEPTH): up to SEED_DEPTH they are the stream itself, above
-    it the roots of the subtrees, which go to `pool` when there is one.
-    Each fold first re-raises the error of any failed run among `runs`, the
-    queued property runs.  The caller has checked the order cap."""
-    if n <= SEED_DEPTH:
-        partials = [_scan_kernel(seeds, constraints)]
-    else:
-        tasks = [(g.rows, n, constraints) for g in seeds]
-        if pool is not None:
-            partials = pool.imap(_scan_subtree, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
-        else:
-            partials = map(_scan_subtree, tasks)
+def _scan_cells(n: int, constraints: Sequence[ConstraintSpec], partials) -> tuple[list[dict], int]:
+    """Every cell of order n, folded from the (accums, streamed) partials of
+    its tasks in task order."""
     accums = [_Accum() for _ in constraints]
     streamed = 0
-    # fold each subtree's partials in as it arrives rather than holding them all
+    # fold each task's partials in as it arrives rather than holding them all
     for parts, count in partials:
-        for run in runs:
-            if run.ready():
-                run.get()
         streamed += count
         for a, p in zip(accums, parts):
             a.merge(p)
@@ -426,15 +410,21 @@ def _campaign_values(campaign: str, n: int, values) -> list[int]:
     return [v for v in values if lo <= v <= hi]
 
 
+def _call(task):
+    """Run a task given as (function, *args)."""
+    fn, *args = task
+    return fn(*args)
+
+
 def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
                     jobs: int, properties=()) -> tuple[list[dict], int]:
     """Cells of every campaign, campaign-major, from one scan per order, then
-    the cells of the `properties` runs, given as (function, args) pairs.  The
+    the cells of the `properties` runs, given as (function, *args) tasks.  The
     graphs-scanned count is summed over campaigns, as if each had its own scan.
     `jobs` is checked here, the order cap and the runs' arguments by the caller."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    plans = []
+    orders = []
     for n in n_values:
         constraints = [
             ConstraintSpec(_CAMPAIGN_TO_KIND[campaign], v)
@@ -442,30 +432,37 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
             for v in _campaign_values(campaign, n, values)
         ]
         if constraints:
-            plans.append((n, constraints, connected_graph_list(min(n, SEED_DEPTH))))
+            seeds = connected_graph_list(min(n, SEED_DEPTH))
+            tasks = ([(_scan_kernel, seeds, constraints)] if n <= SEED_DEPTH
+                     else [(_scan_subtree, g.rows, n, constraints) for g in seeds])
+            orders.append((n, constraints, tasks))
+    workers = min(jobs, len(properties) + sum(len(tasks) for _, _, tasks in orders))
     # one pool per campaign, forked after the class lists are built so that the
-    # workers inherit them. The property runs are queued first and run beside
-    # the scans, which stop at the first fold after one fails; without a pool
-    # they run first. Leaving the block ends every worker, on an error too.
+    # workers inherit them. Leaving the block ends every worker, on an error too.
     # It does so by SIGTERM, so each worker restores that signal's default
     # action: a handler inherited from the caller would keep a busy worker
     # alive, and the pool would wait for it for ever.
-    pooled = jobs > 1 and (bool(properties) or any(n > SEED_DEPTH for n, _, _ in plans))
     with get_context("fork").Pool(
-        processes=jobs, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL),
-    ) if pooled else nullcontext() as pool:
-        runs = [pool.apply_async(fn, args) for fn, args in properties] if pool else []
-        reports = [] if pool else [fn(*args) for fn, args in properties]
+        processes=workers, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL),
+    ) if workers > 1 else nullcontext() as pool:
+        def run(tasks):
+            if pool is None:
+                return map(_call, tasks)
+            return pool.imap(_call, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
+
+        # every stream is queued before the first result is taken, so the pool
+        # works in task order: the property runs, then each order's tasks
+        reports = run(properties)
+        streams = [(n, constraints, run(tasks)) for n, constraints, tasks in orders]
+        property_cells = [cell for report in reports for cell in report.cells]
         cells: list[dict] = []
         graphs_scanned = 0
-        for n, constraints, seeds in plans:
-            results, streamed = _scan_cells(n, constraints, seeds, pool, jobs, runs)
+        for n, constraints, partials in streams:
+            results, streamed = _scan_cells(n, constraints, partials)
             graphs_scanned += streamed * len({c.kind for c in constraints})
             cells.extend(results)
-        cells.sort(key=lambda cell: campaigns.index(cell["campaign"]))
-        for report in reports + [run.get() for run in runs]:
-            cells += report.cells
-    return cells, graphs_scanned
+    cells.sort(key=lambda cell: campaigns.index(cell["campaign"]))
+    return cells + property_cells, graphs_scanned
 
 
 def run_campaign(
@@ -628,8 +625,8 @@ def run_full_battery(
     _check_monotonicity_args(trials, MONOTONICITY_N_MAX)
     cells, graphs_scanned = _scan_campaigns(
         ("edge-conn", "vertex-conn", "chromatic"), ns, None, jobs,
-        [(verify_monotonicity, (trials, MONOTONICITY_N_MAX, seed)),
-         (verify_bridge_rewrite, (BRIDGE_N_MAX,))])
+        [(verify_monotonicity, trials, MONOTONICITY_N_MAX, seed),
+         (verify_bridge_rewrite, BRIDGE_N_MAX)])
     params = {
         "campaign": "all",
         "n_range": [n_lo, n_hi],

@@ -247,7 +247,8 @@ class TestReferenceOracle:
         cells = [verifier.ConstraintSpec(kind, k) for kind in
                  ("edge_connectivity_eq", "vertex_connectivity_eq") for k in range(1, 7)]
         cells += [verifier.ConstraintSpec("chromatic_eq", k) for k in range(2, 9)]
-        verifier._scan_cells(8, cells, connected_graph_list(7), None, 1)
+        partials = [verifier._scan_subtree(g.rows, 8, cells) for g in connected_graph_list(7)]
+        verifier._scan_cells(8, cells, partials)
         # from scratch: 11 123 lambda and kappa calls, 51 163 colouring calls;
         # the parents' chi is 853 of the chromatic_number calls, the rest re-check maximizers
         assert calls == {"edge_connectivity": 1824, "vertex_connectivity": 1609,
@@ -268,7 +269,7 @@ class TestReferenceOracle:
             cells = [verifier.ConstraintSpec(kind, k) for kind in
                      ("edge_connectivity_eq", "vertex_connectivity_eq") for k in range(1, n - 1)]
             cells += [verifier.ConstraintSpec("chromatic_eq", k) for k in range(2, n + 1)]
-            verifier._scan_cells(n, cells, connected_graph_list(n), None, 1)
+            verifier._scan_cells(n, cells, [verifier._scan_kernel(connected_graph_list(n), cells)])
         # from scratch: 1 006 lambda and kappa calls, 4 331 colouring calls; the
         # 141 parents of orders 3..6 are in the chromatic_number calls
         assert calls == {"edge_connectivity": 202, "vertex_connectivity": 164,

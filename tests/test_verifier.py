@@ -445,7 +445,8 @@ class TestFusedScan:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_property_run_stops_the_scans(self, monkeypatch, jobs):
-        # at jobs 1 the property runs come first; at jobs 2 each fold checks them
+        # the property reports are taken before any order's partials, at every
+        # worker count, so no order is folded
         def crash(*args):
             raise RuntimeError("boom")
 
@@ -462,9 +463,29 @@ class TestFusedScan:
         monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
         with pytest.raises(RuntimeError, match="boom"):
             run_full_battery(4, 8, jobs=jobs, trials=5)
-        assert 8 not in scanned
-        if jobs == 1:
-            assert scanned == []
+        assert scanned == []
+
+    def test_pool_size_is_derived_from_the_tasks(self, monkeypatch):
+        forked = []
+        real_get_context = verifier.get_context
+
+        class RecordingContext:
+            def __init__(self, method):
+                self.real = real_get_context(method)
+
+            def Pool(self, processes, **kwargs):
+                forked.append(processes)
+                return self.real.Pool(processes, **kwargs)
+
+        monkeypatch.setattr(verifier, "get_context", RecordingContext)
+        one_task = run_campaign("chromatic", [6], [3], jobs=4)
+        assert forked == []
+        assert one_task.cells == run_campaign("chromatic", [6], [3]).cells
+        monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
+        six_roots = run_campaign("edge-conn", [5], jobs=8)  # the 6 classes of order 4
+        assert forked == [6]
+        assert six_roots.parameters["jobs"] == 8
+        assert six_roots.cells == run_campaign("edge-conn", [5]).cells
 
     def test_failed_run_ends_workers_under_a_sigterm_handler(self, tmp_path):
         # forked workers inherit the caller's SIGTERM handler (a test runner's,

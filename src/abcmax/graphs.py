@@ -4,7 +4,8 @@ Vertices are 0..n-1. Each adjacency row is a Python int used as a bitset,
 which keeps degree counts, neighbourhood intersections and whole-row
 comparisons cheap at every order this package cares about (n <= 4096).
 Graphs are value-like: mutators return a new Graph and never touch their
-argument, so published graphs are safe to share across workers.
+argument, so published graphs are safe to share across workers.  Every
+builder checks its order and its vertex pairs once, before it builds.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ MAX_VERTICES = 4096
 
 class Graph6Error(ValueError):
     """Malformed graph6 text (bad header, bad length, nonzero padding)."""
+
+
+def _check_order(n: int) -> int:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    return n
+
+
+def _check_pair(n: int, u: int, v: int) -> None:
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -32,19 +46,14 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Optional[tuple[int, ...]] = None):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-        self.n = n
+        self.n = _check_order(n)
         self.rows = rows if rows is not None else (0,) * n
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        rows = [0] * n
+        rows = [0] * _check_order(n)
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            _check_pair(n, u, v)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
@@ -96,17 +105,13 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    _check_order(n)
     full = (1 << n) - 1
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range for n={g.n}")
+    _check_pair(g.n, u, v)
     if g.has_edge(u, v):
         raise ValueError(f"edge ({u},{v}) already present")
     rows = list(g.rows)
@@ -116,10 +121,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range for n={g.n}")
+    _check_pair(g.n, u, v)
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u},{v}) not present")
     rows = list(g.rows)
@@ -129,18 +131,14 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"union order {n} exceeds cap {MAX_VERTICES}")
+    n = _check_order(g.n + h.n)
     rows = list(g.rows) + [r << g.n for r in h.rows]
     return Graph(n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"join order {n} exceeds cap {MAX_VERTICES}")
+    n = _check_order(g.n + h.n)
     g_mask = (1 << g.n) - 1
     h_mask = ((1 << h.n) - 1) << g.n
     rows = [r | h_mask for r in g.rows]
@@ -156,6 +154,7 @@ def kn_k_graph(n: int, k: int) -> Graph:
     """
     if not (1 <= k <= n - 2):
         raise ValueError(f"kn_k needs 1 <= k <= n-2, got n={n}, k={k}")
+    _check_order(n)
     return join(complete_graph(k), disjoint_union(complete_graph(1), complete_graph(n - k - 1)))
 
 
@@ -167,10 +166,9 @@ def turan_graph(n: int, l: int) -> Graph:
     """
     if not (1 <= l <= n):
         raise ValueError(f"turan needs 1 <= l <= n, got n={n}, l={l}")
+    _check_order(n)
     q, r = divmod(n, l)
     sizes = [q + 1] * r + [q] * (l - r)
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     rows = [0] * n
     start = 0
     full = (1 << n) - 1
@@ -186,6 +184,7 @@ def bridge_cliques_graph(x: int, y: int) -> Graph:
     """K_x and K_y joined by a single edge between vertex 0 and vertex x."""
     if x < 1 or y < 1:
         raise ValueError(f"bridge_cliques needs x >= 1 and y >= 1, got x={x}, y={y}")
+    _check_order(x + y)
     g = disjoint_union(complete_graph(x), complete_graph(y))
     return add_edge(g, 0, x)
 
@@ -193,15 +192,15 @@ def bridge_cliques_graph(x: int, y: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    return Graph.from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    return Graph.from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
 
 def star_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+    return Graph.from_edges(n, ((0, v) for v in range(1, n)))
 
 
 def is_connected(g: Graph) -> bool:

@@ -10,9 +10,10 @@ A scan of order n has one path.  An order n <= SEED_DEPTH is one task, a
 pass over its cached class list, which holds the children of every class
 of order n - 1, each parent's together.  A higher order is split into the
 canonical-parent subtrees rooted at the cached classes of order
-SEED_DEPTH, one task each.  A task streams its graphs through every cell
-of the order and returns one partial per cell, and the partials are folded
-into the cells in task order.  The fold is an associative, commutative
+SEED_DEPTH, one task each.  A task names its order and root; the process
+that runs it reads the graphs, streams them through every cell of the
+order and returns one partial per cell, and the partials are folded into
+the cells in task order.  The fold is an associative, commutative
 reduction, so worker count never changes a result field.
 
 Every graph is thus its parent plus one last vertex, and siblings arrive
@@ -281,9 +282,9 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec])
     return accums, streamed
 
 
-def _scan_subtree(rows: tuple[int, ...], n: int, constraints: Sequence[ConstraintSpec]):
-    """The partials of the order-n graphs in the subtree rooted at `rows`."""
-    return _scan_kernel(expand_seed(rows, n), constraints)
+def _scan_subtree(rows: Optional[tuple[int, ...]], n: int, constraints: Sequence[ConstraintSpec]):
+    """The partials of the order-n subtree rooted at `rows`, or of all of order n if None."""
+    return _scan_kernel(connected_graph_list(n) if rows is None else expand_seed(rows, n), constraints)
 
 
 def _scan_cells(n: int, constraints: Sequence[ConstraintSpec], partials) -> tuple[list[dict], int]:
@@ -433,8 +434,8 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
         ]
         if constraints:
             seeds = connected_graph_list(min(n, SEED_DEPTH))
-            tasks = ([(_scan_kernel, seeds, constraints)] if n <= SEED_DEPTH
-                     else [(_scan_subtree, g.rows, n, constraints) for g in seeds])
+            roots = [None] if n <= SEED_DEPTH else [g.rows for g in seeds]
+            tasks = [(_scan_subtree, rows, n, constraints) for rows in roots]
             orders.append((n, constraints, tasks))
     workers = min(jobs, len(properties) + sum(len(tasks) for _, _, tasks in orders))
     # one pool per campaign, forked after the class lists are built so that the

@@ -4,7 +4,10 @@ import json
 import multiprocessing
 import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,6 +112,25 @@ class TestConstruct:
         code, out, err = run_cli(capsys, "construct", "turan", "--n", "5", "--l", "9")
         assert code == 2 and out == ""
         assert err == "error: turan needs 1 <= l <= n, got n=5, l=9\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("cycle", "--n", "1000000"),
+        ("complete", "--n", "1000000"),
+        ("turan", "--n", "1000000", "--l", "1000000"),
+        ("knk", "--n", "1000000", "--k", "1"),
+        ("bridge", "--x", "1", "--y", "999999"),
+    ], ids=lambda argv: argv[0])
+    def test_order_above_cap_refused_before_building(self, argv):
+        # one family per order check; under 1 GiB of address space a family
+        # built before its check fails with MemoryError, not the usage error
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "abcmax", "construct", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: vertex count 1000000 outside 1..4096\n"
 
 
 class TestInvariants:

@@ -1,4 +1,11 @@
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -71,7 +78,7 @@ class TestBasics:
             add_edge(complete_graph(3), 0, 1)
         with pytest.raises(ValueError):
             add_edge(empty_graph(3), 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
             add_edge(empty_graph(3), 0, 3)
         with pytest.raises(ValueError):
             remove_edge(empty_graph(3), 0, 1)
@@ -88,11 +95,50 @@ class TestBasics:
         built = join(complete_graph(3), disjoint_union(complete_graph(1), complete_graph(2)))
         assert built == kn_k_graph(6, 3)
 
+    def test_order_checked_before_anything_is_built(self):
+        # every builder refuses an order of 10**12 before it allocates: in a
+        # child limited to 1 GiB of address space, a build that came first
+        # would raise MemoryError, not the order's ValueError
+        script = textwrap.dedent("""
+            import json
+            from abcmax.graphs import *
+
+            n = 10 ** 12
+            calls = {
+                "from_edges": lambda: Graph.from_edges(n, []),
+                "complete_graph": lambda: complete_graph(n),
+                "turan_graph": lambda: turan_graph(n, n),
+                "cycle_graph": lambda: cycle_graph(n),
+                "path_graph": lambda: path_graph(n),
+                "star_graph": lambda: star_graph(n),
+                "kn_k_graph": lambda: kn_k_graph(n, 1),
+                "bridge_cliques_graph": lambda: bridge_cliques_graph(1, n - 1),
+            }
+            outcomes = {}
+            for name, call in calls.items():
+                try:
+                    call()
+                    outcomes[name] = "built"
+                except Exception as exc:
+                    outcomes[name] = f"{type(exc).__name__}: {exc}"
+            print(json.dumps(outcomes))
+        """)
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 0, proc.stderr
+        outcomes = json.loads(proc.stdout)
+        assert len(outcomes) == 8
+        for name, outcome in outcomes.items():
+            assert outcome == "ValueError: vertex count 1000000000000 outside 1..4096", name
+
     def test_union_caps(self):
         big = empty_graph(4090)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex count 4097 outside 1\.\.4096$"):
             disjoint_union(big, empty_graph(7))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex count 4097 outside 1\.\.4096$"):
             join(big, empty_graph(7))
 
     def test_audit_passes_after_operations(self):

@@ -465,8 +465,10 @@ class TestFusedScan:
             run_full_battery(4, 8, jobs=jobs, trials=5)
         assert scanned == []
 
-    def test_pool_size_is_derived_from_the_tasks(self, monkeypatch):
-        forked = []
+    @staticmethod
+    def record_pools(monkeypatch):
+        """Make the verifier's pools list their sizes and the tasks sent to them."""
+        forked, sent = [], []
         real_get_context = verifier.get_context
 
         class RecordingContext:
@@ -475,9 +477,21 @@ class TestFusedScan:
 
             def Pool(self, processes, **kwargs):
                 forked.append(processes)
-                return self.real.Pool(processes, **kwargs)
+                pool = self.real.Pool(processes, **kwargs)
+                real_imap = pool.imap
+
+                def imap(fn, tasks, chunksize=1):
+                    sent.extend(tasks := list(tasks))
+                    return real_imap(fn, tasks, chunksize)
+
+                pool.imap = imap
+                return pool
 
         monkeypatch.setattr(verifier, "get_context", RecordingContext)
+        return forked, sent
+
+    def test_pool_size_is_derived_from_the_tasks(self, monkeypatch):
+        forked, _ = self.record_pools(monkeypatch)
         one_task = run_campaign("chromatic", [6], [3], jobs=4)
         assert forked == []
         assert one_task.cells == run_campaign("chromatic", [6], [3]).cells
@@ -486,6 +500,21 @@ class TestFusedScan:
         assert forked == [6]
         assert six_roots.parameters["jobs"] == 8
         assert six_roots.cells == run_campaign("edge-conn", [5]).cells
+
+    def test_no_task_carries_a_graph(self, monkeypatch):
+        # a forked worker holds the cached class lists already; a task names
+        # its order and root, and pickles no graph into the pipe
+        _, sent = self.record_pools(monkeypatch)
+        monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
+        monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
+        run_full_battery(4, 6, jobs=2, trials=20)
+        properties = {verifier.verify_monotonicity, verifier.verify_bridge_rewrite}
+        assert len(sent) == 2 + 1 + 6 + 6  # property runs, order 4, a task per root at 5 and 6
+        for fn, *args in sent:
+            for arg in args:
+                assert not isinstance(arg, Graph)
+                assert not (isinstance(arg, tuple) and any(isinstance(x, Graph) for x in arg))
+            assert fn in properties or fn is verifier._scan_subtree
 
     def test_failed_run_ends_workers_under_a_sigterm_handler(self, tmp_path):
         # forked workers inherit the caller's SIGTERM handler (a test runner's,
@@ -554,18 +583,25 @@ class TestFusedScan:
         assert capsys.readouterr().err == "error: n_max must be in 6..4096, got 4097\n"
 
     def test_seeds_listed_once_per_order(self, monkeypatch):
+        # this process lists each order once, before any task runs; a task
+        # of an order up to SEED_DEPTH reads that cached list again, in this
+        # process at jobs 1 and in a worker otherwise, and adds no cache miss
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
         real_list = verifier.connected_graph_list
-        for jobs in (1, 2):
-            seeded = []
+        for jobs, listed in ((1, [3, 4, 4, 4, 3, 4]), (2, [3, 4, 4, 4])):
+            seeded, misses = [], []
 
             def counting_list(n):
+                before = real_list.cache_info().misses
+                graphs = real_list(n)
                 seeded.append(n)
-                return real_list(n)
+                misses.append(real_list.cache_info().misses - before)
+                return graphs
 
             monkeypatch.setattr(verifier, "connected_graph_list", counting_list)
             run_campaign("edge-conn", range(3, 7), jobs=jobs)
-            assert seeded == [3, 4, 4, 4]
+            assert seeded == listed
+            assert misses[4:] == [0] * (len(listed) - 4)
 
     def test_order_cap_checked_before_any_scan(self, monkeypatch):
         def crash(*args):

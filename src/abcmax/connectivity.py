@@ -6,16 +6,16 @@ connectivity runs it on the adjacency rows themselves.  Vertex connectivity
 runs it on the split graph, built once per graph: node 2v is v_in and 2v+1 is
 v_out, the arc v_in -> v_out is unit, and every edge uv becomes the free arcs
 v_out -> u_in and u_out -> v_in, so a minimum cut can only cross in -> out
-arcs, i.e. vertices.  The residual reach set of the call that sets the
-minimum is the source side of a minimum cut, which gives the witnesses.
+arcs, i.e. vertices.  For lambda, the residual reach set of the call that
+sets the minimum is the source side of a minimum cut, the witness.
 
 Three rules, each sound for any graph, keep the flow calls few (after Even,
 SIAM J. Comput. 4, 1975, and Esfahanian & Hakimi, Networks 14, 1984):
 
 - Both caps start at the minimum degree delta.  The star of a minimum-degree
   vertex v is an edge cut, and for a non-complete graph N(v) is a vertex cut,
-  because v has a non-neighbour.  When no flow beats delta, these are the
-  witnesses.
+  because v has a non-neighbour.  When no flow beats delta, the star is the
+  witness.
 - kappa takes sources v_0, v_1, ... only while the source index is below the
   current best, and targets t > s not adjacent to s.  A minimum cut S with
   |S| = kappa < best misses one of v_0..v_{best-1}; let v_s be the first.
@@ -31,9 +31,12 @@ Disconnected graphs return 0 (campaign filters rely on the value rather than
 an error), and complete graphs use the n-1 convention for vertex
 connectivity.
 
-`edge_cut_side` and `vertex_separator`, the one lambda and one kappa search,
-return the witnesses in their one form, vertex masks.  With them, a scan
-decides most one-vertex extensions without a flow.
+`edge_cut_side` is the one lambda search and returns its witness as a vertex
+mask; `vertex_connectivity` is the one kappa search and returns kappa alone.
+`separator_parts` lists the components that the minimum separators leave
+(Kanevsky, Networks 23, 1993, lists every minimum separator in general).
+With them, a scan decides the kappa of every one-vertex extension, and the
+lambda of most, without a flow.
 Let g be connected with k >= 2 vertices, and let h = g + z, with z joined to
 a nonempty S, s = |S|:
 
@@ -53,26 +56,29 @@ a nonempty S, s = |S|:
   neighbour in h - Y, so z's component there holds a vertex of g and
   another component lies in g, and Y separates g: |Y| >= kappa(g).  (For a
   complete g only the middle case can occur, and kappa(g) = k - 1 >= s.)
-  Three cases then decide kappa(h):
-  (a) S = V(g): kappa(h) = kappa(g) + 1.  z sees every vertex, so every
-      separator of h holds z and loses it to a separator of g; and X + z
-      separates h for a minimum separator X of g.  For a complete g, h is
-      complete and the convention gives k = kappa(g) + 1.
-  (b) s <= kappa(g) and S != V(g): kappa(h) = s.  S separates z from
-      V(g) - S, and the lower bound is min(kappa(g), s) = s.
-  (c) X a minimum separator of g, and V(g) - X split into two nonempty
-      sides with no edge between them (`vertex_separator`'s P and the
-      rest).  If S misses one side, X still separates h, as z joins only
-      the other one; S != V(g), so kappa(h) <= min(kappa(g), s), and the
-      lower bound makes that an equality.  This covers every S inside X
-      plus one component of g - X.
+  Write kappa = kappa(g).  Two cases then decide kappa(h):
+  - s <= kappa: kappa(h) = s.  S != V(g), as kappa <= k - 1; S separates
+    z from V(g) - S, and the lower bound is min(kappa, s) = s.
+  - s > kappa: kappa(h) = kappa if S misses some component of g - X for
+    a minimum separator X of g, and kappa + 1 if it misses none (always
+    so for a complete g, which has no separator).  kappa(h) >= kappa: by
+    the lower bound if S != V(g); if S = V(g), z sees every vertex, so
+    every separator of h holds z and loses it to a separator of g (a
+    complete g makes h complete, with kappa(h) = k = kappa + 1).  And
+    X + z separates h, so kappa(h) <= kappa + 1.  Now take a separator
+    Y of h with |Y| = kappa.  Y cannot hold z, or Y - z would separate
+    g with kappa - 1 vertices.  Y cannot hold all of S, as s > kappa.
+    So z has a neighbour in h - Y, Y separates g as above, and Y is a
+    minimum separator of g.  h - Y is g - Y with z joined to S - Y, so
+    it is disconnected iff z misses a component of g - Y.  Conversely,
+    such an X is a separator of h of size kappa.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import combinations
 
-from .graphs import Graph, _bits, is_connected
+from .graphs import Graph, _bits, components, is_connected
 
 
 def _augment(unit, free, s: int, t: int, limit: int) -> tuple[int, int]:
@@ -145,25 +151,18 @@ def edge_cut_side(g: Graph) -> tuple[int, int]:
     return best, best_reach
 
 
-def vertex_separator(g: Graph) -> tuple[int, Optional[tuple[int, int]]]:
-    """(kappa, (X, P)): a minimum separator X and one side P of it, as vertex
-    masks, or None in place of the pair when g is complete, K_1 or disconnected.
+def edge_connectivity(g: Graph) -> int:
+    """Minimum number of edges whose deletion disconnects g (0 for K_1)."""
+    return edge_cut_side(g)[0]
 
-    P is a union of components of g - X, and at least one component of
-    g - X lies outside it.
-    """
+
+def vertex_connectivity(g: Graph) -> int:
+    """Minimum vertex-cut size; n-1 for complete graphs by convention."""
     n = g.n
     if n == 1 or not is_connected(g):
-        return 0, None
+        return 0
     rows = g.rows
-    best, v = min((r.bit_count(), v) for v, r in enumerate(rows))
-    if best == n - 1:
-        return best, None  # complete graphs have no non-adjacent pair
-    # kappa <= min degree, witnessed by N(v): reach holds v_in, v_out and the
-    # in-nodes of v's neighbours, so exactly the arcs u_in -> u_out cross
-    best_reach = 3 << (2 * v)
-    for u in _bits(rows[v]):
-        best_reach |= 1 << (2 * u)
+    best = min(r.bit_count() for r in rows)  # kappa <= min degree, by N(v)
     unit = [0] * (2 * n)
     free = [0] * (2 * n)
     for v in range(n):
@@ -176,27 +175,23 @@ def vertex_separator(g: Graph) -> tuple[int, Optional[tuple[int, int]]]:
         for t in _bits(full & ~rows[s] & ~((1 << (s + 1)) - 1)):
             if (rows[s] & rows[t]).bit_count() >= best:
                 continue
-            flow, reach = _augment(unit, free, 2 * s + 1, 2 * t, best)
-            if flow < best:
-                best, best_reach = flow, reach
-                if best == 1:
-                    break
+            best = min(best, _augment(unit, free, 2 * s + 1, 2 * t, best)[0])
+            if best == 1:
+                break
         s += 1
-    sep = side = 0
-    for v in range(n):
-        if (best_reach >> (2 * v)) & 1:
-            if (best_reach >> (2 * v + 1)) & 1:
-                side |= 1 << v
-            else:
-                sep |= 1 << v
-    return best, (sep, side)
+    return best
 
 
-def edge_connectivity(g: Graph) -> int:
-    """Minimum number of edges whose deletion disconnects g (0 for K_1)."""
-    return edge_cut_side(g)[0]
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """Minimum vertex-cut size; n-1 for complete graphs by convention."""
-    return vertex_separator(g)[0]
+def separator_parts(g: Graph, kappa: int) -> list[int]:
+    """The component masks of g - X for every X of kappa vertices whose
+    removal disconnects g, kappa being vertex_connectivity(g); [] for a
+    complete g.  Each size-kappa subset is tried, C(n, kappa) component
+    searches, which stays cheap at the orders of a scan's parents.  A
+    component C names its X, as X = N(C), so no mask repeats."""
+    full = (1 << g.n) - 1
+    parts = []
+    for sep in combinations([1 << v for v in range(g.n)], kappa):
+        comps = components(g.rows, full ^ sum(sep))
+        if len(comps) > 1:
+            parts.extend(comps)
+    return parts

@@ -79,7 +79,7 @@ from functools import lru_cache, reduce
 from itertools import chain, combinations_with_replacement, product
 from typing import Iterator
 
-from .graphs import Graph, _bits, _graph6, disjoint_union
+from .graphs import Graph, _bits, _graph6, components, disjoint_union
 
 MAX_CANONICAL_ORDER = 16
 DEFAULT_ENUMERATION_CAP = 8
@@ -287,33 +287,6 @@ def _decide_ties(rows, z: int, ties: list[int]):
     return ties, colors
 
 
-def _deletion_components(rows, k: int) -> list[list[int]]:
-    """comps[v]: the component vertex masks of the graph minus v."""
-    full = (1 << k) - 1
-    comps = []
-    for v in range(k):
-        alive = full ^ (1 << v)
-        parts = []
-        left = alive
-        while left:
-            seen = frontier = left & -left
-            while frontier:
-                reach = 0
-                for u in _neighbours(frontier):
-                    reach |= rows[u]
-                frontier = reach & alive & ~seen
-                seen |= frontier
-            parts.append(seen)
-            left &= ~seen
-        comps.append(parts)
-    return comps
-
-
-def _reconnects(parts, sub: int) -> bool:
-    # g - v plus z joined to `sub` is connected iff `sub` meets every part
-    return all(c & sub for c in parts)
-
-
 def _delete_vertex(rows, n: int, v: int) -> tuple[int, ...]:
     low = (1 << v) - 1
     return tuple(
@@ -402,7 +375,8 @@ def _parent_search(k: int, rows) -> tuple[list[int], bytearray]:
 def _children(rows, k: int) -> Iterator[tuple[int, ...]]:
     """Accepted, deduplicated one-vertex extensions of a connected parent."""
     deg_g = [rows[v].bit_count() for v in range(k)]
-    comps = _deletion_components(rows, k)
+    # g - v plus z joined to `sub` is connected iff `sub` meets every part of comps[v]
+    comps = [components(rows, ((1 << k) - 1) ^ (1 << v)) for v in range(k)]
     cf_parent, skip = _parent_search(k, rows)
     z = k
     nh = k + 1
@@ -419,7 +393,7 @@ def _children(rows, k: int) -> Iterator[tuple[int, ...]]:
         for v in range(k):
             dv = deg_g[v] + ((sub >> v) & 1)
             if dv < dz:
-                if _reconnects(comps[v], sub):
+                if all(c & sub for c in comps[v]):
                     rejected = True
                     break
             elif dv == dz:
@@ -432,7 +406,7 @@ def _children(rows, k: int) -> Iterator[tuple[int, ...]]:
             hr[v] |= zbit
         hr.append(sub)
         if ties:
-            ties = [v for v in ties if _reconnects(comps[v], sub)]
+            ties = [v for v in ties if all(c & sub for c in comps[v])]
         if ties:
             decided = _decide_ties(hr, z, ties)
             if decided is None:

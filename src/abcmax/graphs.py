@@ -203,18 +203,27 @@ def star_graph(n: int) -> Graph:
     return Graph.from_edges(n, ((0, v) for v in range(1, n)))
 
 
+def components(rows, alive: int) -> list[int]:
+    """The component vertex masks of the subgraph that `rows` induce on the
+    vertex mask `alive`, in order of their lowest vertex."""
+    parts = []
+    while alive:
+        seen = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & alive & ~seen
+            seen |= frontier
+        parts.append(seen)
+        alive &= ~seen
+    return parts
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    visited = 1
-    frontier = g.rows[0]
-    while frontier:
-        visited |= frontier
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.rows[v]
-        frontier = nxt & ~visited
-    return visited == (1 << g.n) - 1
+    return len(components(g.rows, (1 << g.n) - 1)) == 1
 
 
 # graph6 text interchange.

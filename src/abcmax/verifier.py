@@ -18,13 +18,14 @@ reduction, so worker count never changes a result field.
 
 Every graph is thus its parent plus one last vertex, and siblings arrive
 one after another.  The kernel keeps the state of the current parent
-(`_Parent`: lambda with a minimum edge cut's side, kappa with a minimum
-separator and a side of it, chi with a colouring; only what the cells
-need) and decides each child from it by the lemmas in the `connectivity`
-and `coloring` docstrings.  A flow or a colouring search runs only where
-the lemmas leave a child undecided; a graph whose parent has fewer than
-two vertices or is disconnected, which the lemmas do not cover, is decided
-from scratch.
+(`_Parent`: lambda with a minimum edge cut's side, kappa with the
+components of g - X for every minimum separator X, chi with a colouring;
+only what the cells need) and decides each child from it by the lemmas in
+the `connectivity` and `coloring` docstrings.  Those decide every child's
+kappa; a lambda flow or a colouring search runs only where the lemmas
+leave a child undecided.  A graph whose parent has fewer than two vertices
+or is disconnected, which the lemmas do not cover, is decided from
+scratch.
 
 Worker count only decides where the work runs.  A campaign is one ordered
 list of tasks: the battery's property runs, then the tasks of each order.
@@ -53,7 +54,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import bounds
 from .coloring import chromatic_number, is_k_colorable
-from .connectivity import edge_connectivity, edge_cut_side, vertex_connectivity, vertex_separator
+from .connectivity import edge_connectivity, edge_cut_side, separator_parts, vertex_connectivity
 from .enumeration import are_isomorphic, check_order, connected_graph_list, expand_seed
 from .graphs import (
     MAX_VERTICES,
@@ -172,17 +173,18 @@ class _Parent:
     """What the cells need of a connected parent g with at least 2 vertices,
     to decide each child h = g + z, z being h's last vertex, by the lemmas in
     the `connectivity` and `coloring` docstrings.  Only the parts asked for
-    are built: lambda and the source side of a minimum edge cut, kappa and a
-    minimum separator with one side of it, chi and its colour classes."""
+    are built: lambda and the source side of a minimum edge cut, kappa and
+    the components that g's minimum separators leave, chi and its colour
+    classes."""
 
-    __slots__ = ("full", "lam", "side", "kap", "cut", "chi", "classes")
+    __slots__ = ("lam", "side", "kap", "parts", "chi", "classes")
 
     def __init__(self, g: Graph, edge: bool, vertex: bool, chrom: bool):
-        self.full = (1 << g.n) - 1
         if edge:
             self.lam, self.side = edge_cut_side(g)
         if vertex:
-            self.kap, self.cut = vertex_separator(g)
+            self.kap = vertex_connectivity(g)
+            self.parts = separator_parts(g, self.kap)
         if chrom:
             coloring = chromatic_number(g)
             self.chi = coloring.chi
@@ -199,18 +201,12 @@ class _Parent:
         return lo if lo == hi else edge_connectivity(h)
 
     def vertex_connectivity(self, h: Graph) -> int:
-        """kappa(h); a flow runs only when none of the lemma's cases applies."""
+        """kappa(h), by the lemma's two cases; no flow runs."""
         sub = h.rows[-1]
-        if sub == self.full:
-            return self.kap + 1
         s = sub.bit_count()
         if s <= self.kap:
             return s
-        if self.cut is not None:
-            sep, side = self.cut
-            if not sub & side or not sub & ~(sep | side):
-                return self.kap  # min(kappa(g), s), and s > kappa(g) here
-        return vertex_connectivity(h)
+        return self.kap if any(not sub & c for c in self.parts) else self.kap + 1
 
     def chromatic_number(self, h: Graph) -> int:
         """chi(h); a colouring search runs only when z sees every colour."""
@@ -417,6 +413,25 @@ def _call(task):
     return fn(*args)
 
 
+def _worker_init():
+    """Give a pool worker SIGTERM's default action, then unblock it."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
+def _fork_pool(workers: int):
+    """A fork pool of `workers`.  It ends its workers by SIGTERM, and a handler
+    inherited from the caller would keep one alive, so the pool would wait for
+    it for ever.  So the workers are forked with SIGTERM blocked, and a SIGTERM
+    sent before `_worker_init` has run is held until the default action is
+    back, not swallowed.  The caller's signal mask is restored afterwards."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        return get_context("fork").Pool(processes=workers, initializer=_worker_init)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
                     jobs: int, properties=()) -> tuple[list[dict], int]:
     """Cells of every campaign, campaign-major, from one scan per order, then
@@ -440,12 +455,7 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
     workers = min(jobs, len(properties) + sum(len(tasks) for _, _, tasks in orders))
     # one pool per campaign, forked after the class lists are built so that the
     # workers inherit them. Leaving the block ends every worker, on an error too.
-    # It does so by SIGTERM, so each worker restores that signal's default
-    # action: a handler inherited from the caller would keep a busy worker
-    # alive, and the pool would wait for it for ever.
-    with get_context("fork").Pool(
-        processes=workers, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL),
-    ) if workers > 1 else nullcontext() as pool:
+    with _fork_pool(workers) if workers > 1 else nullcontext() as pool:
         def run(tasks):
             if pool is None:
                 return map(_call, tasks)

@@ -8,8 +8,8 @@ from abcmax import connectivity, verifier
 from abcmax.connectivity import (
     edge_connectivity,
     edge_cut_side,
+    separator_parts,
     vertex_connectivity,
-    vertex_separator,
 )
 from abcmax.enumeration import connected_graph_list
 from abcmax.graphs import (
@@ -22,7 +22,6 @@ from abcmax.graphs import (
     is_connected,
     kn_k_graph,
     path_graph,
-    turan_graph,
 )
 
 
@@ -250,10 +249,11 @@ class TestReferenceOracle:
         partials = [verifier._scan_subtree(g.rows, 8, cells) for g in connected_graph_list(7)]
         verifier._scan_cells(8, cells, partials)
         # from scratch: 11 123 lambda and kappa calls, 51 163 colouring calls;
-        # the parents' chi is 853 of the chromatic_number calls, the rest re-check maximizers
-        assert calls == {"edge_connectivity": 1824, "vertex_connectivity": 1609,
+        # the 853 parents' kappa and chi are 853 of the vertex_connectivity and
+        # chromatic_number calls, the rest re-check maximizers: no child runs a kappa flow
+        assert calls == {"edge_connectivity": 1824, "vertex_connectivity": 859,
                          "is_k_colorable": 249, "chromatic_number": 860}
-        assert len(augment_calls) == 11819  # 22 752 from scratch; parents' witnesses included
+        assert len(augment_calls) == 5480  # 22 752 from scratch; parents' searches included
 
     def test_low_order_scan_calls_pinned(self, monkeypatch):
         # the battery's orders 4..7, each one pass over its class list with
@@ -271,8 +271,9 @@ class TestReferenceOracle:
             cells += [verifier.ConstraintSpec("chromatic_eq", k) for k in range(2, n + 1)]
             verifier._scan_cells(n, cells, [verifier._scan_kernel(connected_graph_list(n), cells)])
         # from scratch: 1 006 lambda and kappa calls, 4 331 colouring calls; the
-        # 141 parents of orders 3..6 are in the chromatic_number calls
-        assert calls == {"edge_connectivity": 202, "vertex_connectivity": 164,
+        # 141 parents of orders 3..6 are in the vertex_connectivity and
+        # chromatic_number calls, and the 14 kappa cells re-check their maximizers
+        assert calls == {"edge_connectivity": 202, "vertex_connectivity": 155,
                          "is_k_colorable": 34, "chromatic_number": 159}
 
 
@@ -303,17 +304,9 @@ def assert_witnesses(g: Graph):
     assert 0 < side < full
     assert len(cut_edges(g, side)) == lam
     assert not is_connected(without_edges(g, cut_edges(g, side)))
-    kap, cut = vertex_separator(g)
-    assert kap == vertex_connectivity(g)
-    complete = g.edge_count() == g.n * (g.n - 1) // 2
-    assert (cut is None) == complete
-    if not complete:
-        sep, p_side = cut
-        rest = full & ~(sep | p_side)
-        assert not sep & p_side and p_side and rest
-        assert sep.bit_count() == kap
-        assert not is_connected(without_vertices(g, list(_bits(sep))))
-        assert not any(g.rows[u] & rest for u in _bits(p_side))
+    kap = vertex_connectivity(g)
+    assert kap <= lam
+    assert (kap == g.n - 1) == (g.edge_count() == g.n * (g.n - 1) // 2)
 
 
 class TestProfile:
@@ -334,28 +327,54 @@ class TestWitnesses:
             assert len(cut_edges(g, side)) == lam
             assert not is_connected(without_edges(g, cut_edges(g, side)))
 
-    def test_vertex_cut_witness_disconnects(self):
-        g = kn_k_graph(6, 3)
-        kap, (sep, _) = vertex_separator(g)
-        assert kap == sep.bit_count() == 3
-        assert not is_connected(without_vertices(g, list(_bits(sep))))
-
-    def test_vertex_cut_at_min_degree_is_a_neighbourhood(self):
-        # no flow beats the minimum degree, so the witness is N(v) of the
-        # first minimum-degree vertex v
-        petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
-                                    + [(i, i + 5) for i in range(5)]
-                                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-        for g in (cycle_graph(7), turan_graph(6, 2), petersen):
-            degrees = g.degrees()
-            v = degrees.index(min(degrees))
-            kap, (sep, _) = vertex_separator(g)
-            assert kap == degrees[v]
-            assert sep == g.rows[v]
-            assert not is_connected(without_vertices(g, list(_bits(sep))))
-
     def test_complete_graph_has_no_vertex_cut(self):
         g = complete_graph(4)
-        assert vertex_separator(g) == (3, None)
+        assert vertex_connectivity(g) == 3
+        assert separator_parts(g, 3) == []
         lam, side = edge_cut_side(g)
         assert lam == len(cut_edges(g, side)) == 3
+
+
+def brute_separator_parts(g: Graph) -> list[int]:
+    """The components of g - X, as vertex masks, for every X of kappa(g)
+    vertices that disconnects g, each found by a depth-first search."""
+    parts = []
+    for sep in combinations(range(g.n), brute_vertex_connectivity(g)):
+        left = [v for v in range(g.n) if v not in sep]
+        comps = []
+        while left:
+            stack, comp = [left[0]], 0
+            while stack:
+                v = stack.pop()
+                if not (comp >> v) & 1:
+                    comp |= 1 << v
+                    stack.extend(u for u in g.neighbors(v) if u not in sep)
+            comps.append(comp)
+            left = [v for v in left if not (comp >> v) & 1]
+        if len(comps) > 1:
+            parts.extend(comps)
+    return parts
+
+
+class TestSeparatorParts:
+    """The components left by every minimum separator, against a listing of
+    every vertex subset of size kappa."""
+
+    def test_every_class_upto_7(self):
+        for g in connected_classes_upto_7():
+            assert sorted(separator_parts(g, vertex_connectivity(g))) == sorted(
+                brute_separator_parts(g)), g.rows
+
+    def test_random_graphs_upto_10(self):
+        rng = random.Random(26)
+        listed = 0
+        for _ in range(300):
+            n = rng.randint(2, 10)
+            p = rng.choice((0.2, 0.4, 0.6, 0.85))
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < p])
+            if is_connected(g):
+                parts = separator_parts(g, vertex_connectivity(g))
+                assert sorted(parts) == sorted(brute_separator_parts(g)), g.rows
+                listed += bool(parts)
+        assert listed >= 100

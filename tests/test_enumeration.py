@@ -9,13 +9,11 @@ from abcmax.enumeration import (
     _canonical_cols,
     _children,
     _decide_ties,
-    _deletion_components,
     _delete_vertex,
     _fingerprint,
     _neighbours,
     _orbit_skips,
     _parent_search,
-    _reconnects,
     _refinement_colors,
     _twin_reps,
     all_graphs,
@@ -30,6 +28,7 @@ from abcmax.graphs import (
     _bits,
     bridge_cliques_graph,
     complete_graph,
+    components,
     disjoint_union,
     encode_graph6,
     is_connected,
@@ -93,7 +92,7 @@ def reference_children(rows, k: int):
     are compared as graph6 bytes."""
     parent = Graph(k, rows)
     deg_g = [rows[v].bit_count() for v in range(k)]
-    comps = _deletion_components(rows, k)
+    comps = [components(rows, ((1 << k) - 1) ^ (1 << v)) for v in range(k)]
     z = k
     nh = k + 1
     zbit = 1 << z
@@ -107,7 +106,7 @@ def reference_children(rows, k: int):
         for v in range(k):
             dv = deg_g[v] + ((sub >> v) & 1)
             if dv < dz:
-                if _reconnects(comps[v], sub):
+                if all(c & sub for c in comps[v]):
                     rejected = True
                     break
             elif dv == dz:
@@ -121,7 +120,7 @@ def reference_children(rows, k: int):
         hr.append(sub)
         colors = None
         if ties:
-            ties = [v for v in ties if _reconnects(comps[v], sub)]
+            ties = [v for v in ties if all(c & sub for c in comps[v])]
         if ties:
             colors = _refinement_colors(hr)
             cz = colors[z]
@@ -357,7 +356,7 @@ class TestDeletionComponents:
     def test_matches_explicit_child(self):
         for k in range(1, 7):
             for g in connected_graphs(k):
-                comps = _deletion_components(g.rows, k)
+                comps = [components(g.rows, ((1 << k) - 1) ^ (1 << v)) for v in range(k)]
                 for sub in range(1, 1 << k):
                     child = list(g.rows)
                     for v in _bits(sub):
@@ -365,7 +364,7 @@ class TestDeletionComponents:
                     child.append(sub)
                     for v in range(k):
                         without = Graph(k, _delete_vertex(child, k + 1, v))
-                        assert _reconnects(comps[v], sub) == is_connected(without)
+                        assert all(c & sub for c in comps[v]) == is_connected(without)
 
 
 class TestOrbitSkip:

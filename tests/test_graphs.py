@@ -17,6 +17,7 @@ from abcmax.graphs import (
     add_edge,
     bridge_cliques_graph,
     complete_graph,
+    components,
     cycle_graph,
     decode_graph6,
     disjoint_union,
@@ -218,6 +219,12 @@ class TestFamilies:
         assert is_connected(complete_graph(1))
         assert not is_connected(disjoint_union(complete_graph(3), complete_graph(2)))
         assert is_connected(bridge_cliques_graph(3, 3))
+
+    def test_components_of_an_induced_subgraph(self):
+        g = disjoint_union(path_graph(3), complete_graph(2))  # 0-1-2 and 3-4
+        assert components(g.rows, 0b11111) == [0b00111, 0b11000]
+        assert components(g.rows, 0b11101) == [0b00001, 0b00100, 0b11000]
+        assert components(g.rows, 0) == []
 
 
 class TestGraph6:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -19,16 +20,18 @@ from abcmax.coloring import chromatic_number
 from abcmax.connectivity import (
     edge_connectivity,
     edge_cut_side,
+    separator_parts,
     vertex_connectivity,
-    vertex_separator,
 )
 from abcmax.enumeration import are_isomorphic, connected_graph_list
+from abcmax.invariants import abc_index, abc_index_decimal
 from abcmax.graphs import (
     Graph,
     _bits,
     complete_graph,
     decode_graph6,
     disjoint_union,
+    encode_graph6,
     is_connected,
     kn_k_graph,
     turan_graph,
@@ -295,6 +298,41 @@ class TestAccum:
                 (whole.scanned, whole.best, sorted(whole.cands), whole.runner_up)
 
 
+class TestTieRule:
+    """Candidates whose 40-digit values differ by at most TIE_TOL are tied."""
+
+    CELL = ConstraintSpec("vertex_connectivity_eq", 2)
+
+    def test_gap_above_tie_tol_is_a_near_tie(self, monkeypatch):
+        best = encode_graph6(kn_k_graph(6, 2))
+        other = "Er`G"
+        top = abc_index_decimal(kn_k_graph(6, 2))
+        monkeypatch.setattr(verifier, "abc_index_decimal",
+                            lambda g: top - (Decimal("1e-15") if encode_graph6(g) == other else 0))
+        accum = verifier._Accum()
+        for g6 in (best, other):
+            accum.add(5.0, g6)  # one float value: only the Decimal re-check parts them
+        cell = verifier._finalize_cell(6, self.CELL, accum)
+        assert cell["maximizers"] == [best]
+        assert cell["matches"] is True
+        assert [(e["g6"], e["gap"]) for e in cell["near_ties"]] == [(other, 1e-15)]
+
+    def test_equal_degree_pair_multisets_tie(self):
+        # two non-isomorphic graphs with one multiset of edge degree pairs have
+        # equal ABC values, so neither is the unique maximizer
+        pair = ("Er`G", "E{OW")
+        g, h = (decode_graph6(g6) for g6 in pair)
+        assert not are_isomorphic(g, h)
+        assert abc_index_decimal(g) == abc_index_decimal(h)
+        accum = verifier._Accum()
+        for g6, graph in zip(pair, (g, h)):
+            accum.add(abc_index(graph), g6)
+        cell = verifier._finalize_cell(6, self.CELL, accum)
+        assert cell["maximizers"] == sorted(pair)
+        assert cell["near_ties"] == []
+        assert cell["matches"] is False
+
+
 class TestChromaticCells:
     def test_cell_counts_match_chromatic_number(self):
         # K_2's parent is K_1, which has no state: its chi comes from scratch
@@ -343,8 +381,9 @@ def random_graph(rng: random.Random, k: int, p: float) -> Graph:
 
 def random_pairs(count: int):
     """Seeded (g, h = g + z) pairs, |V(h)| <= 16, h connected.  z is joined
-    at random, to all of V(g), inside one side of a minimum edge cut, inside
-    a minimum separator plus one side of it, or to at most kappa(g) vertices.
+    at random, to all of V(g), inside one side of a minimum edge cut, to V(g)
+    minus one component that a minimum separator leaves, or to at most
+    kappa(g) vertices.
     One parent in eight is disconnected; z then meets every component."""
     rng = random.Random(21)
     modes = ("random", "universal", "edge side", "separator side", "small")
@@ -364,9 +403,8 @@ def random_pairs(count: int):
         if mode == "edge side" and k > 1 and is_connected(g):
             side = edge_cut_side(g)[1]
             pool = rng.choice((side, full & ~side))
-        elif mode == "separator side" and vertex_separator(g)[1] is not None:
-            sep, side = vertex_separator(g)[1]
-            pool = sep | rng.choice((side, full & ~(sep | side)))
+        elif mode == "separator side" and (parts := separator_parts(g, vertex_connectivity(g))):
+            pool = full & ~rng.choice(parts)
         members = list(_bits(pool))
         if mode == "universal":
             sub = full
@@ -516,13 +554,14 @@ class TestFusedScan:
                 assert not (isinstance(arg, tuple) and any(isinstance(x, Graph) for x in arg))
             assert fn in properties or fn is verifier._scan_subtree
 
-    def test_failed_run_ends_workers_under_a_sigterm_handler(self, tmp_path):
-        # forked workers inherit the caller's SIGTERM handler (a test runner's,
-        # say); leaving the pool on an error must still end the worker that is
-        # busy with the bridge run, or the pool waits for it for ever.  The run
-        # gets its own process group, so that a stuck worker is killed too.
+    @staticmethod
+    def run_crash_script(tmp_path, prelude: str, timeout: float) -> int:
+        """Exit status of a child that runs `prelude`, installs a no-op SIGTERM
+        handler, makes the battery's first property run raise and runs the
+        battery at jobs 2.  The child gets its own process group, so that a
+        stuck worker is killed too."""
         script = tmp_path / "crash.py"
-        script.write_text(textwrap.dedent("""
+        script.write_text(textwrap.dedent(prelude) + textwrap.dedent("""
             import signal
             from abcmax import verifier
 
@@ -543,13 +582,47 @@ class TestFusedScan:
         proc = subprocess.Popen([sys.executable, str(script)], env=env, start_new_session=True,
                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
-            assert proc.wait(timeout=60) == 0
+            return proc.wait(timeout=timeout)
         finally:
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             proc.wait()
+
+    def test_failed_run_ends_workers_under_a_sigterm_handler(self, tmp_path):
+        # forked workers inherit the caller's SIGTERM handler (a test runner's,
+        # say); leaving the pool on an error must still end the worker that is
+        # busy with the bridge run, or the pool waits for it for ever
+        assert self.run_crash_script(tmp_path, "", timeout=60) == 0
+
+    def test_sigterm_before_worker_init_is_held(self, tmp_path):
+        # the second worker reaches its initializer only once the first
+        # worker's task has failed and the pool has sent its SIGTERM (seen as
+        # pending while SIGTERM is blocked), or after 2 s; the signal must
+        # wait for the default action, not meet the inherited handler, or
+        # that worker blocks on the pool's queue for ever
+        late_init = """
+            import multiprocessing
+            import signal as real_signal
+            import time
+            from abcmax import verifier
+
+            class LateSignal:
+                def __getattr__(self, name):
+                    return getattr(real_signal, name)
+
+                def signal(self, signum, handler):
+                    if multiprocessing.current_process().name.endswith("-2"):
+                        deadline = time.monotonic() + 2
+                        while (real_signal.SIGTERM not in real_signal.sigpending()
+                               and time.monotonic() < deadline):
+                            time.sleep(0.01)
+                    return real_signal.signal(signum, handler)
+
+            verifier.signal = LateSignal()
+        """
+        assert self.run_crash_script(tmp_path, late_init, timeout=20) == 0
 
     def test_bad_trials_fail_before_any_scan(self, monkeypatch, capsys):
         scans = []

@@ -6,26 +6,24 @@ tracks the ABC maximum together with everything within the fixed window
 EPSILON of it, re-evaluates that near-tie set at 40 significant decimals,
 and only then declares a unique maximizer or a genuine tie.
 
-A scan of order n has one path.  An order n <= SEED_DEPTH is one task, a
-pass over its cached class list, which holds the children of every class
-of order n - 1, each parent's together.  A higher order is split into the
-canonical-parent subtrees rooted at the cached classes of order
-SEED_DEPTH, one task each.  A task names its order and root; the process
-that runs it reads the graphs, streams them through every cell of the
-order and returns one partial per cell, and the partials are folded into
-the cells in task order.  The fold is an associative, commutative
-reduction, so worker count never changes a result field.
+A scan of order n has one path.  Its tasks are the canonical-parent
+subtrees rooted at the cached classes of order min(n - 1, SEED_DEPTH), one
+task each.  A task names its order and root; the process that runs it walks
+the root's subtree down to the parents of order n - 1, decides the children
+of each through every cell of the order and returns one partial per cell,
+and the partials are folded into the cells in task order.  The fold is an
+associative, commutative reduction, so worker count never changes a result
+field.
 
-Every graph is thus its parent plus one last vertex, and siblings arrive
-one after another.  The kernel keeps the state of the current parent
-(`_Parent`: lambda with a minimum edge cut's side, kappa with the
-components of g - X for every minimum separator X, chi with a colouring;
-only what the cells need) and decides each child from it by the lemmas in
-the `connectivity` and `coloring` docstrings.  Those decide every child's
-kappa; a lambda flow or a colouring search runs only where the lemmas
-leave a child undecided.  A graph whose parent has fewer than two vertices
-or is disconnected, which the lemmas do not cover, is decided from
-scratch.
+The kernel holds each parent g while it decides g's children h = g + z.  It
+builds g's state once for all of them (`_Parent`: lambda with a minimum
+edge cut's side, kappa with the components of g - X for every minimum
+separator X, chi with a colouring; only what the cells need) and decides
+each child from it by the lemmas in the `connectivity` and `coloring`
+docstrings.  Those decide every child's kappa; a lambda flow or a
+colouring search runs only where the lemmas leave a child undecided.  K_1,
+which the lemmas do not cover, gets no state, so K_2 is the one graph a
+campaign decides from scratch.
 
 Worker count only decides where the work runs.  A campaign is one ordered
 list of tasks: the battery's property runs, then the tasks of each order.
@@ -73,7 +71,7 @@ from .invariants import abc_index, abc_index_decimal
 SCHEMA_VERSION = "1"
 EPSILON = 1e-9  # near-tie window; everything within it is re-checked by abc_index_decimal
 TIE_TOL = Decimal("1e-20")
-SEED_DEPTH = 7  # order of the subtree roots a scan is split into
+SEED_DEPTH = 7  # deepest order of a task's root
 MONOTONICITY_N_MAX = 12  # largest order the battery's monotonicity trials draw
 BRIDGE_N_MAX = 100  # largest order the battery's bridge-rewrite run checks
 
@@ -217,26 +215,12 @@ class _Parent:
         return chi + 1
 
 
-def _parent_rows(h: Graph) -> tuple[int, ...]:
-    """The rows of h minus its last vertex."""
-    low = (1 << (h.n - 1)) - 1
-    return tuple(r & low for r in h.rows[:-1])
+def _scan_kernel(parents: Iterable[Graph], n: int, constraints: Sequence[ConstraintSpec]):
+    """Evaluate every constraint cell over the order-n children of `parents`,
+    graphs of order n - 1; shared per-graph metrics.
 
-
-def _parent_state(rows: tuple[int, ...], edge: bool, vertex: bool,
-                  chrom: bool) -> Optional[_Parent]:
-    """The state of the parent with these rows, or None when it is K_1 or
-    disconnected: the lemmas hold only for a connected parent of order >= 2."""
-    if len(rows) < 2 or not is_connected(g := Graph(len(rows), rows)):
-        return None
-    return _Parent(g, edge, vertex, chrom)
-
-
-def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec]):
-    """Evaluate every constraint cell over a stream; shared per-graph metrics.
-
-    Each graph is decided from its parent, the graph minus its last vertex,
-    whose state is kept for the siblings that follow it.
+    Each parent's state is built once, for all of its children; K_1 has
+    none, so its child K_2 is decided from scratch.
     """
     accums = [_Accum() for _ in constraints]
     edge_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "edge_connectivity_eq"]
@@ -247,40 +231,39 @@ def _scan_kernel(graphs: Iterable[Graph], constraints: Sequence[ConstraintSpec])
     min_edge_k = min((v for _, v in edge_cells), default=None)
     min_vertex_k = min((v for _, v in vertex_cells), default=None)
 
+    wanted = (bool(edge_cells), bool(vertex_cells), bool(chrom_cells))
     streamed = 0
-    parent = parent_rows = None
-    for g in graphs:
-        streamed += 1
-        if (rows := _parent_rows(g)) != parent_rows:
-            parent_rows = rows
-            parent = _parent_state(rows, bool(edge_cells), bool(vertex_cells), bool(chrom_cells))
-        matched: list[int] = []
-        min_deg = min(r.bit_count() for r in g.rows) if (edge_cells or vertex_cells) else 0
-        if edge_cells and min_deg >= min_edge_k:
-            lam = parent.edge_connectivity(g) if parent else edge_connectivity(g)
-            matched.extend(i for i, k in edge_cells if k == lam)
-        if vertex_cells and min_deg >= min_vertex_k:
-            kap = parent.vertex_connectivity(g) if parent else vertex_connectivity(g)
-            matched.extend(i for i, k in vertex_cells if k == kap)
-        if chrom_cells:
-            if parent is None:
-                chi = chromatic_number(g).chi
-            elif chi_lo - 1 <= parent.chi <= chi_hi:  # chi(g) is chi(parent) or one more
-                chi = parent.chromatic_number(g)
-            else:
-                chi = None
-            matched.extend(i for i, v in chrom_cells if v == chi)
-        if matched:
-            value = abc_index(g)
-            g6 = encode_graph6(g)
-            for i in matched:
-                accums[i].add(value, g6)
+    for g in parents:
+        parent = _Parent(g, *wanted) if g.n > 1 else None
+        for h in expand_seed(g.rows, n):
+            streamed += 1
+            matched: list[int] = []
+            min_deg = min(r.bit_count() for r in h.rows) if (edge_cells or vertex_cells) else 0
+            if edge_cells and min_deg >= min_edge_k:
+                lam = parent.edge_connectivity(h) if parent else edge_connectivity(h)
+                matched.extend(i for i, k in edge_cells if k == lam)
+            if vertex_cells and min_deg >= min_vertex_k:
+                kap = parent.vertex_connectivity(h) if parent else vertex_connectivity(h)
+                matched.extend(i for i, k in vertex_cells if k == kap)
+            if chrom_cells:
+                if parent is None:
+                    chi = chromatic_number(h).chi
+                elif chi_lo - 1 <= parent.chi <= chi_hi:  # chi(h) is chi(g) or one more
+                    chi = parent.chromatic_number(h)
+                else:
+                    chi = None
+                matched.extend(i for i, v in chrom_cells if v == chi)
+            if matched:
+                value = abc_index(h)
+                g6 = encode_graph6(h)
+                for i in matched:
+                    accums[i].add(value, g6)
     return accums, streamed
 
 
-def _scan_subtree(rows: Optional[tuple[int, ...]], n: int, constraints: Sequence[ConstraintSpec]):
-    """The partials of the order-n subtree rooted at `rows`, or of all of order n if None."""
-    return _scan_kernel(connected_graph_list(n) if rows is None else expand_seed(rows, n), constraints)
+def _scan_subtree(rows: tuple[int, ...], n: int, constraints: Sequence[ConstraintSpec]):
+    """The partials of the order-n graphs in the subtree rooted at `rows`."""
+    return _scan_kernel(expand_seed(rows, n - 1), n, constraints)
 
 
 def _scan_cells(n: int, constraints: Sequence[ConstraintSpec], partials) -> tuple[list[dict], int]:
@@ -448,9 +431,8 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
             for v in _campaign_values(campaign, n, values)
         ]
         if constraints:
-            seeds = connected_graph_list(min(n, SEED_DEPTH))
-            roots = [None] if n <= SEED_DEPTH else [g.rows for g in seeds]
-            tasks = [(_scan_subtree, rows, n, constraints) for rows in roots]
+            roots = connected_graph_list(min(n - 1, SEED_DEPTH))
+            tasks = [(_scan_subtree, g.rows, n, constraints) for g in roots]
             orders.append((n, constraints, tasks))
     workers = min(jobs, len(properties) + sum(len(tasks) for _, _, tasks in orders))
     # one pool per campaign, forked after the class lists are built so that the

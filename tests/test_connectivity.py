@@ -256,7 +256,7 @@ class TestReferenceOracle:
         assert len(augment_calls) == 5480  # 22 752 from scratch; parents' searches included
 
     def test_low_order_scan_calls_pinned(self, monkeypatch):
-        # the battery's orders 4..7, each one pass over its class list with
+        # the battery's orders 4..7, one task per class of order n - 1, with
         # every graph decided from its parent
         calls = Counter()
         for name in ("edge_connectivity", "vertex_connectivity", "is_k_colorable",
@@ -269,7 +269,8 @@ class TestReferenceOracle:
             cells = [verifier.ConstraintSpec(kind, k) for kind in
                      ("edge_connectivity_eq", "vertex_connectivity_eq") for k in range(1, n - 1)]
             cells += [verifier.ConstraintSpec("chromatic_eq", k) for k in range(2, n + 1)]
-            verifier._scan_cells(n, cells, [verifier._scan_kernel(connected_graph_list(n), cells)])
+            partials = [verifier._scan_subtree(g.rows, n, cells) for g in connected_graph_list(n - 1)]
+            verifier._scan_cells(n, cells, partials)
         # from scratch: 1 006 lambda and kappa calls, 4 331 colouring calls; the
         # 141 parents of orders 3..6 are in the vertex_connectivity and
         # chromatic_number calls, and the 14 kappa cells re-check their maximizers

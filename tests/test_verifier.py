@@ -23,14 +23,13 @@ from abcmax.connectivity import (
     separator_parts,
     vertex_connectivity,
 )
-from abcmax.enumeration import are_isomorphic, connected_graph_list
+from abcmax.enumeration import are_isomorphic, connected_graph_list, expand_seed
 from abcmax.invariants import abc_index, abc_index_decimal
 from abcmax.graphs import (
     Graph,
     _bits,
     complete_graph,
     decode_graph6,
-    disjoint_union,
     encode_graph6,
     is_connected,
     kn_k_graph,
@@ -334,35 +333,36 @@ class TestTieRule:
 
 
 class TestChromaticCells:
-    def test_cell_counts_match_chromatic_number(self):
-        # K_2's parent is K_1, which has no state: its chi comes from scratch
-        assert verifier._parent_state(verifier._parent_rows(complete_graph(2)),
-                                      False, False, True) is None
+    def test_cell_counts_match_chromatic_number(self, monkeypatch):
+        states = []
+        real_parent = verifier._Parent
+
+        def recording_parent(g, *wanted):
+            states.append(g.n)
+            return real_parent(g, *wanted)
+
+        monkeypatch.setattr(verifier, "_Parent", recording_parent)
         for n in range(2, 8):
+            parents = connected_graph_list(n - 1)
             classes = connected_graph_list(n)
             chis = Counter(chromatic_number(g).chi for g in classes)
             for window in ({2}, {3}, {4, 5}, set(range(2, n + 1)), {n}):
+                states.clear()
                 cells = [ConstraintSpec("chromatic_eq", v) for v in sorted(window)]
-                accums, streamed = verifier._scan_kernel(classes, cells)
+                accums, streamed = verifier._scan_kernel(parents, n, cells)
                 assert streamed == len(classes)
                 assert [a.scanned for a in accums] == [chis[c.value] for c in cells]
+                # K_1 gets no state: K_2's chi comes from scratch
+                assert states == ([] if n == 2 else [n - 1] * len(parents))
 
 
 KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq")
 
 
-def kernel_values(h: Graph) -> list:
-    """(lambda, kappa, chi) of h as the kernel decides them, from h minus
-    its last vertex; None where no cell matched."""
-    cells = [ConstraintSpec(kind, v) for kind in KINDS for v in range(1, h.n + 1)
-             if v >= 2 or kind != "chromatic_eq"]
-    accums, streamed = verifier._scan_kernel([h], cells)
-    assert streamed == 1
-    values = [None, None, None]
-    for c, a in zip(cells, accums):
-        if a.scanned:
-            values[KINDS.index(c.kind)] = c.value
-    return values
+def inherited_values(parent, h: Graph) -> list:
+    """(lambda, kappa, chi) of h as decided from its parent's state."""
+    return [parent.edge_connectivity(h), parent.vertex_connectivity(h),
+            parent.chromatic_number(h)]
 
 
 def scratch_values(h: Graph) -> list:
@@ -379,28 +379,27 @@ def random_graph(rng: random.Random, k: int, p: float) -> Graph:
                                 if rng.random() < p])
 
 
+def random_connected(rng: random.Random, k: int, p: float) -> Graph:
+    while not is_connected(g := random_graph(rng, k, p)):
+        pass
+    return g
+
+
 def random_pairs(count: int):
-    """Seeded (g, h = g + z) pairs, |V(h)| <= 16, h connected.  z is joined
-    at random, to all of V(g), inside one side of a minimum edge cut, to V(g)
-    minus one component that a minimum separator leaves, or to at most
-    kappa(g) vertices.
-    One parent in eight is disconnected; z then meets every component."""
+    """Seeded (g, h = g + z) pairs, g connected, 2 <= |V(g)| <= 15.  z is
+    joined at random, to all of V(g), inside one side of a minimum edge cut,
+    to V(g) minus one component that a minimum separator leaves, or to at
+    most kappa(g) vertices."""
     rng = random.Random(21)
     modes = ("random", "universal", "edge side", "separator side", "small")
     for i in range(count):
         p = rng.choice((0.2, 0.4, 0.6, 0.85))
-        if i % 8 == 0:
-            g = disjoint_union(random_graph(rng, rng.randint(1, 7), p),
-                               random_graph(rng, rng.randint(1, 7), p))
-        else:
-            k = rng.randint(1, 15)
-            while not is_connected(g := random_graph(rng, k, p)):
-                pass
+        g = random_connected(rng, rng.randint(2, 15), p)
         k = g.n
         full = (1 << k) - 1
         mode = modes[i % len(modes)]
         pool = full
-        if mode == "edge side" and k > 1 and is_connected(g):
+        if mode == "edge side":
             side = edge_cut_side(g)[1]
             pool = rng.choice((side, full & ~side))
         elif mode == "separator side" and (parts := separator_parts(g, vertex_connectivity(g))):
@@ -423,27 +422,38 @@ class TestParentLemmas:
     equal the values computed from scratch."""
 
     def test_every_child_of_every_class_upto_7(self):
-        # the classes of order k + 1 are the children of those of order k, in
-        # list order, so h minus its last vertex is its generator parent
-        parents = {}
-        for n in range(3, 9):
-            for h in connected_graph_list(n):
-                rows = verifier._parent_rows(h)
-                if rows not in parents:
-                    parents[rows] = verifier._parent_state(rows, True, True, True)
-                parent = parents[rows]
-                inherited = [parent.edge_connectivity(h), parent.vertex_connectivity(h),
-                             parent.chromatic_number(h)]
-                assert inherited == scratch_values(h), h.rows
-        assert len(parents) == sum(len(connected_graph_list(k)) for k in range(2, 8))
+        children = 0
+        for k in range(2, 8):
+            for g in connected_graph_list(k):
+                parent = verifier._Parent(g, True, True, True)
+                for h in expand_seed(g.rows, k + 1):
+                    assert inherited_values(parent, h) == scratch_values(h), h.rows
+                    children += 1
+        assert children == sum(len(connected_graph_list(n)) for n in range(3, 9))
 
     def test_random_pairs(self):
-        universal = disconnected = 0
+        universal = 0
         for g, h in random_pairs(2000):
-            assert kernel_values(h) == scratch_values(h), (g.rows, h.rows)
+            parent = verifier._Parent(g, True, True, True)
+            assert inherited_values(parent, h) == scratch_values(h), (g.rows, h.rows)
             universal += h.rows[-1] == (1 << g.n) - 1
-            disconnected += not is_connected(g)
-        assert universal >= 300 and disconnected >= 200
+        assert universal >= 300
+
+    def test_kernel_counts_on_random_parents(self):
+        # the kernel's min-degree and chi-window prefilters at orders 9..11: each
+        # cell counts the children whose value, from scratch, is the cell's
+        rng = random.Random(8)
+        for k in (8, 9, 10):
+            for _ in range(20):
+                g = random_connected(rng, k, 0.5)
+                values = Counter()
+                for h in expand_seed(g.rows, k + 1):
+                    values.update(zip(KINDS, scratch_values(h)))
+                for window in (range(1, k + 2), (4, 5)):
+                    cells = [ConstraintSpec(kind, v) for kind in KINDS for v in window
+                             if v >= 2 or kind != "chromatic_eq"]
+                    accums, _ = verifier._scan_kernel([g], k + 1, cells)
+                    assert [a.scanned for a in accums] == [values[c.kind, c.value] for c in cells], g.rows
 
 
 class TestFusedScan:
@@ -471,9 +481,9 @@ class TestFusedScan:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_deep_subtrees_equal_flat_stream(self, monkeypatch, jobs):
-        # SEED_DEPTH 7 scans each of orders 4..7 as one pass over its class
-        # list; roots of order 4 split orders 5..7 into subtrees, at jobs 2
-        # scanned in pool workers
+        # SEED_DEPTH 7 roots each of orders 4..7 at its classes of order
+        # n - 1; roots of order 4 split orders 6 and 7 into deeper subtrees,
+        # at jobs 2 scanned in pool workers
         monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
         flat = run_full_battery(4, 7, jobs=1, trials=20)
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
@@ -530,9 +540,9 @@ class TestFusedScan:
 
     def test_pool_size_is_derived_from_the_tasks(self, monkeypatch):
         forked, _ = self.record_pools(monkeypatch)
-        one_task = run_campaign("chromatic", [6], [3], jobs=4)
+        one_task = run_campaign("chromatic", [3], [3], jobs=4)  # the one class of order 2
         assert forked == []
-        assert one_task.cells == run_campaign("chromatic", [6], [3]).cells
+        assert one_task.cells == run_campaign("chromatic", [3], [3]).cells
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
         six_roots = run_campaign("edge-conn", [5], jobs=8)  # the 6 classes of order 4
         assert forked == [6]
@@ -540,19 +550,23 @@ class TestFusedScan:
         assert six_roots.cells == run_campaign("edge-conn", [5]).cells
 
     def test_no_task_carries_a_graph(self, monkeypatch):
-        # a forked worker holds the cached class lists already; a task names
-        # its order and root, and pickles no graph into the pipe
+        # a task names its order and root, and pickles no graph into the pipe
         _, sent = self.record_pools(monkeypatch)
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
         monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
         run_full_battery(4, 6, jobs=2, trials=20)
         properties = {verifier.verify_monotonicity, verifier.verify_bridge_rewrite}
-        assert len(sent) == 2 + 1 + 6 + 6  # property runs, order 4, a task per root at 5 and 6
+        # property runs, then a task per root: the classes of order 3 for
+        # order 4, those of order 4 for orders 5 and 6
+        assert len(sent) == 2 + 2 + 6 + 6
         for fn, *args in sent:
             for arg in args:
                 assert not isinstance(arg, Graph)
                 assert not (isinstance(arg, tuple) and any(isinstance(x, Graph) for x in arg))
             assert fn in properties or fn is verifier._scan_subtree
+            if fn is verifier._scan_subtree:
+                rows, n, _ = args
+                assert len(rows) == min(n - 1, verifier.SEED_DEPTH)
 
     @staticmethod
     def run_crash_script(tmp_path, prelude: str, timeout: float) -> int:
@@ -656,12 +670,12 @@ class TestFusedScan:
         assert capsys.readouterr().err == "error: n_max must be in 6..4096, got 4097\n"
 
     def test_seeds_listed_once_per_order(self, monkeypatch):
-        # this process lists each order once, before any task runs; a task
-        # of an order up to SEED_DEPTH reads that cached list again, in this
-        # process at jobs 1 and in a worker otherwise, and adds no cache miss
+        # this process reads the root list of each order, min(n - 1,
+        # SEED_DEPTH), once, before any task runs; a task walks its root's
+        # subtree and reads no list, at any worker count
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
         real_list = verifier.connected_graph_list
-        for jobs, listed in ((1, [3, 4, 4, 4, 3, 4]), (2, [3, 4, 4, 4])):
+        for jobs in (1, 2):
             seeded, misses = [], []
 
             def counting_list(n):
@@ -673,8 +687,8 @@ class TestFusedScan:
 
             monkeypatch.setattr(verifier, "connected_graph_list", counting_list)
             run_campaign("edge-conn", range(3, 7), jobs=jobs)
-            assert seeded == listed
-            assert misses[4:] == [0] * (len(listed) - 4)
+            assert seeded == [2, 3, 4, 4]
+            assert misses[3] == 0
 
     def test_order_cap_checked_before_any_scan(self, monkeypatch):
         def crash(*args):

@@ -99,12 +99,12 @@ _BOUNDS = {
 }
 
 
-def _call(args):
+def _invoke(args):
     return args.entry(*(getattr(args, flag[2:]) for flag in args.reads))
 
 
 def _cmd_construct(args) -> int:
-    print(encode_graph6(_call(args)))
+    print(encode_graph6(_invoke(args)))
     return 0
 
 
@@ -142,7 +142,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    value = _call(args)
+    value = _invoke(args)
     values = value if isinstance(value, tuple) else (value,)  # cs gives a pair
     print(*(f"{v:.{args.precision}f}" for v in values))
     return 0

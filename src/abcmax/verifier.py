@@ -27,13 +27,14 @@ campaign decides from scratch.
 
 Worker count only decides where the work runs.  A campaign is one ordered
 list of tasks: the battery's property runs, then the tasks of each order.
-With one worker `map` runs them in this process; with more, the `imap` of
-one fork pool runs them, forked after the class lists are built so that
-the workers inherit them.  The worker count is min(jobs, number of tasks).
-This process takes the results in task order either way, the property
-reports first, so a failed property run stops the campaign before any
-fold.  Each public entry point checks the order cap and its arguments once,
-before any fork or work.
+`_results` runs them here with one worker.  With m = min(jobs, number of
+tasks) workers, forked after the class lists are built, worker w runs the
+tasks w, w + m, ... that it inherits and sends each result down its own
+pipe.  This process takes the results in task order either way, the
+property reports first, so a failed property run stops the campaign before
+any fold, and a dead worker or an interrupt ends it with an error.  Each
+public entry point checks the order cap and its arguments once, before any
+fork or work.
 """
 
 from __future__ import annotations
@@ -41,13 +42,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import pickle
 import random
 import signal
 import time
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from decimal import Decimal
-from multiprocessing import get_context
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import bounds
@@ -390,29 +393,55 @@ def _campaign_values(campaign: str, n: int, values) -> list[int]:
     return [v for v in values if lo <= v <= hi]
 
 
-def _call(task):
-    """Run a task given as (function, *args)."""
-    fn, *args = task
-    return fn(*args)
-
-
-def _worker_init():
-    """Give a pool worker SIGTERM's default action, then unblock it."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-
-def _fork_pool(workers: int):
-    """A fork pool of `workers`.  It ends its workers by SIGTERM, and a handler
-    inherited from the caller would keep one alive, so the pool would wait for
-    it for ever.  So the workers are forked with SIGTERM blocked, and a SIGTERM
-    sent before `_worker_init` has run is held until the default action is
-    back, not swallowed.  The caller's signal mask is restored afterwards."""
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+def _results(tasks: Sequence[tuple], workers: int):
+    """The results of the (function, *args) `tasks`, in task order.  One
+    worker runs them here; worker w of more runs tasks[w::workers] in a fork
+    and pickles each result, or the task's exception, to its own pipe.  Here
+    that exception is raised again, and a pipe that ends early raises
+    RuntimeError.  Every worker is killed by SIGKILL, which no handler holds
+    off, and reaped on the way out, on an error or an interrupt too."""
+    if workers < 2:
+        for fn, *args in tasks:
+            yield fn(*args)
+        return
+    pids, pipes = [], []
     try:
-        return get_context("fork").Pool(processes=workers, initializer=_worker_init)
+        for w in range(workers):
+            r, wfd = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    # no read end stays open here, so a write fails once the parent is gone
+                    for pipe in pipes:
+                        pipe.close()
+                    with os.fdopen(wfd, "wb") as out:
+                        for fn, *args in tasks[w::workers]:
+                            try:
+                                result = fn(*args)
+                            except Exception as exc:
+                                result = exc
+                            out.write(pickle.dumps(result))
+                            out.flush()
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(wfd)
+        for i in range(len(tasks)):
+            try:
+                result = pickle.load(pipes[i % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker {pids[i % workers]} ended before task {i}") from None
+            if isinstance(result, Exception):
+                raise result
+            yield result
     finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
@@ -423,6 +452,7 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
     `jobs` is checked here, the order cap and the runs' arguments by the caller."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    tasks = list(properties)
     orders = []
     for n in n_values:
         constraints = [
@@ -432,28 +462,18 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
         ]
         if constraints:
             roots = connected_graph_list(min(n - 1, SEED_DEPTH))
-            tasks = [(_scan_subtree, g.rows, n, constraints) for g in roots]
-            orders.append((n, constraints, tasks))
-    workers = min(jobs, len(properties) + sum(len(tasks) for _, _, tasks in orders))
-    # one pool per campaign, forked after the class lists are built so that the
-    # workers inherit them. Leaving the block ends every worker, on an error too.
-    with _fork_pool(workers) if workers > 1 else nullcontext() as pool:
-        def run(tasks):
-            if pool is None:
-                return map(_call, tasks)
-            return pool.imap(_call, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
-
-        # every stream is queued before the first result is taken, so the pool
-        # works in task order: the property runs, then each order's tasks
-        reports = run(properties)
-        streams = [(n, constraints, run(tasks)) for n, constraints, tasks in orders]
-        property_cells = [cell for report in reports for cell in report.cells]
+            tasks += [(_scan_subtree, g.rows, n, constraints) for g in roots]
+            orders.append((n, constraints, len(roots)))
+    # the workers, forked after the class lists are built, inherit them and the
+    # tasks; the results come in task order, and leaving the block ends them
+    with closing(_results(tasks, min(jobs, len(tasks)))) as results:
+        property_cells = [c for report in islice(results, len(properties)) for c in report.cells]
         cells: list[dict] = []
         graphs_scanned = 0
-        for n, constraints, partials in streams:
-            results, streamed = _scan_cells(n, constraints, partials)
+        for n, constraints, count in orders:
+            found, streamed = _scan_cells(n, constraints, islice(results, count))
             graphs_scanned += streamed * len({c.kind for c in constraints})
-            cells.extend(results)
+            cells.extend(found)
     cells.sort(key=lambda cell: campaigns.index(cell["campaign"]))
     return cells + property_cells, graphs_scanned
 

@@ -1,13 +1,15 @@
 import argparse
 import io
 import json
-import multiprocessing
 import os
 import re
 import resource
 import shlex
+import signal
 import subprocess
 import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -422,21 +424,140 @@ class TestUsage:
         def crash(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("abcmax.verifier.SEED_DEPTH", 4)  # n=5 goes through the pool
+        monkeypatch.setattr("abcmax.verifier.SEED_DEPTH", 4)  # n=5 has 6 tasks
         out_file = tmp_path / "r.json"
+        real_fork = os.fork
         for target, argv in (
             ("abcmax.verifier._scan_kernel", ("edge-conn", "--n-range", "5..5")),
-            # at --jobs 2 the monotonicity run, and so the crash, is in a pool worker
+            # at --jobs 2 the monotonicity run, and so the crash, is in a forked worker
             ("abcmax.verifier._random_connected", ("all", "--n-range", "4..5", "--trials", "5")),
         ):
+            forked = []
+
+            def recording_fork():
+                forked.append(real_fork())
+                return forked[-1]
+
             with monkeypatch.context() as patch:
                 patch.setattr(target, crash)
+                patch.setattr("abcmax.verifier.os.fork", recording_fork)
                 code, _, err = run_cli(capsys, "verify", *argv, "--jobs", jobs,
                                        "--out", str(out_file))
             assert code == 2
             assert err.strip().splitlines() == ["error: RuntimeError('boom')"]
             assert not out_file.exists()
-            assert multiprocessing.active_children() == []
+            # every worker forked is already reaped
+            assert len(forked) == (0 if jobs == "1" else 2)
+            for pid in forked:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+
+
+def group_members(pgid: int) -> dict[int, str]:
+    """The state letter of every process in process group `pgid`, by pid."""
+    members = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, group = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:  # the process has gone
+            continue
+        if int(group) == pgid:
+            members[int(stat.parent.name)] = state
+    return members
+
+
+def wait_for(condition, timeout: float) -> bool:
+    """Whether `condition()` holds within `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process groups from /proc")
+class TestWorkerFaults:
+    """A `verify all --n-range 4..8 --jobs 2` run meets a fault, under a time
+    limit: it ends with exit 2 and no worker outlives it."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        """Start the run, `patch` applied first, in a process group of its own;
+        whatever is left in that group is killed afterwards."""
+        procs = []
+
+        def start(patch: str = "") -> subprocess.Popen:
+            script = tmp_path / "run.py"
+            script.write_text(textwrap.dedent("""
+                import os
+                import signal
+                import sys
+                from abcmax import cli, verifier
+            """) + textwrap.dedent(patch) + textwrap.dedent(f"""
+                sys.exit(cli.main(["verify", "all", "--n-range", "4..8", "--jobs", "2",
+                                   "--out", {str(tmp_path / "r.json")!r}]))
+            """))
+            procs.append(subprocess.Popen(
+                [sys.executable, str(script)], start_new_session=True,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+            return procs[-1]
+
+        yield start
+        for proc in procs:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+
+    @staticmethod
+    def workers(proc) -> list[int]:
+        """The pids of `proc`'s two workers, once both are forked."""
+        assert wait_for(lambda: len(group_members(proc.pid)) == 3, timeout=20)
+        return sorted(set(group_members(proc.pid)) - {proc.pid})
+
+    def test_dead_worker_exits_2(self, run, tmp_path):
+        # a worker killed by SIGKILL at one order-8 task sends no result for
+        # it; a pool waited for that result for ever
+        proc = run("""
+            doomed = verifier.connected_graph_list(7)[100].rows
+            real_scan_subtree = verifier._scan_subtree
+
+            def dying(rows, n, constraints):
+                if n == 8 and rows == doomed:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real_scan_subtree(rows, n, constraints)
+
+            verifier._scan_subtree = dying
+        """)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: RuntimeError\('worker \d+ ended before task \d+'\)\n", err)
+        assert not (tmp_path / "r.json").exists()
+        assert group_members(proc.pid) == {}
+
+    def test_interrupt_exits_2(self, run, tmp_path):
+        # SIGINT to the whole group, as a terminal's Ctrl-C sends it
+        proc = run()
+        self.workers(proc)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=5)
+        assert proc.returncode == 2
+        assert err.startswith("error: ")
+        assert not (tmp_path / "r.json").exists()
+        assert wait_for(lambda: group_members(proc.pid) == {}, timeout=5)
+
+    def test_main_process_death_ends_the_workers(self, run):
+        # with no read end of its pipe open in any process, a worker's next
+        # write fails once the main process is gone, and the worker leaves
+        proc = run()
+        workers = self.workers(proc)
+        proc.kill()
+        proc.wait(timeout=5)
+        assert wait_for(lambda: all(group_members(proc.pid).get(pid, "Z") == "Z"
+                                    for pid in workers), timeout=5)
 
 
 class TestReadme:

@@ -292,7 +292,7 @@ class TestAccum:
                 part = verifier._Accum()
                 for v, s in items[lo:hi]:
                     part.add(v, s)
-                folded.merge(pickle.loads(pickle.dumps(part)))  # as from a pool worker
+                folded.merge(pickle.loads(pickle.dumps(part)))  # as from a forked worker
             assert (folded.scanned, folded.best, sorted(folded.cands), folded.runner_up) == \
                 (whole.scanned, whole.best, sorted(whole.cands), whole.runner_up)
 
@@ -483,7 +483,7 @@ class TestFusedScan:
     def test_deep_subtrees_equal_flat_stream(self, monkeypatch, jobs):
         # SEED_DEPTH 7 roots each of orders 4..7 at its classes of order
         # n - 1; roots of order 4 split orders 6 and 7 into deeper subtrees,
-        # at jobs 2 scanned in pool workers
+        # at jobs 2 scanned in forked workers
         monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
         flat = run_full_battery(4, 7, jobs=1, trials=20)
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
@@ -515,27 +515,18 @@ class TestFusedScan:
 
     @staticmethod
     def record_pools(monkeypatch):
-        """Make the verifier's pools list their sizes and the tasks sent to them."""
+        """Make `verifier._results` list the worker counts it forks (those
+        above 1) and the tasks it hands to forked workers."""
         forked, sent = [], []
-        real_get_context = verifier.get_context
+        real_results = verifier._results
 
-        class RecordingContext:
-            def __init__(self, method):
-                self.real = real_get_context(method)
+        def recording_results(tasks, workers):
+            if workers > 1:
+                forked.append(workers)
+                sent.extend(tasks)
+            return real_results(tasks, workers)
 
-            def Pool(self, processes, **kwargs):
-                forked.append(processes)
-                pool = self.real.Pool(processes, **kwargs)
-                real_imap = pool.imap
-
-                def imap(fn, tasks, chunksize=1):
-                    sent.extend(tasks := list(tasks))
-                    return real_imap(fn, tasks, chunksize)
-
-                pool.imap = imap
-                return pool
-
-        monkeypatch.setattr(verifier, "get_context", RecordingContext)
+        monkeypatch.setattr(verifier, "_results", recording_results)
         return forked, sent
 
     def test_pool_size_is_derived_from_the_tasks(self, monkeypatch):
@@ -550,7 +541,8 @@ class TestFusedScan:
         assert six_roots.cells == run_campaign("edge-conn", [5]).cells
 
     def test_no_task_carries_a_graph(self, monkeypatch):
-        # a task names its order and root, and pickles no graph into the pipe
+        # a task names its order and root and holds no graph; the workers
+        # inherit the tasks through the fork, and only results cross a pipe
         _, sent = self.record_pools(monkeypatch)
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
         monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
@@ -606,37 +598,30 @@ class TestFusedScan:
 
     def test_failed_run_ends_workers_under_a_sigterm_handler(self, tmp_path):
         # forked workers inherit the caller's SIGTERM handler (a test runner's,
-        # say); leaving the pool on an error must still end the worker that is
-        # busy with the bridge run, or the pool waits for it for ever
+        # say); leaving `_results` on an error must still end the worker that
+        # is busy with the bridge run
         assert self.run_crash_script(tmp_path, "", timeout=60) == 0
 
     def test_sigterm_before_worker_init_is_held(self, tmp_path):
-        # the second worker reaches its initializer only once the first
-        # worker's task has failed and the pool has sent its SIGTERM (seen as
-        # pending while SIGTERM is blocked), or after 2 s; the signal must
-        # wait for the default action, not meet the inherited handler, or
-        # that worker blocks on the pool's queue for ever
-        late_init = """
-            import multiprocessing
-            import signal as real_signal
+        # the second worker sleeps 2 s before its first task, under the
+        # inherited no-op SIGTERM handler, while the first worker's task
+        # fails; the failed run must still end that worker, not wait for it
+        late_start = """
+            import os
             import time
-            from abcmax import verifier
 
-            class LateSignal:
-                def __getattr__(self, name):
-                    return getattr(real_signal, name)
+            real_fork = os.fork
+            forks = []
 
-                def signal(self, signum, handler):
-                    if multiprocessing.current_process().name.endswith("-2"):
-                        deadline = time.monotonic() + 2
-                        while (real_signal.SIGTERM not in real_signal.sigpending()
-                               and time.monotonic() < deadline):
-                            time.sleep(0.01)
-                    return real_signal.signal(signum, handler)
+            def late_fork():
+                forks.append(real_fork())
+                if forks[-1] == 0 and len(forks) == 2:
+                    time.sleep(2)
+                return forks[-1]
 
-            verifier.signal = LateSignal()
+            os.fork = late_fork
         """
-        assert self.run_crash_script(tmp_path, late_init, timeout=20) == 0
+        assert self.run_crash_script(tmp_path, late_start, timeout=20) == 0
 
     def test_bad_trials_fail_before_any_scan(self, monkeypatch, capsys):
         scans = []

@@ -37,7 +37,7 @@ mask; `vertex_connectivity` is the one kappa search and returns kappa alone.
 (Kanevsky, Networks 23, 1993, lists every minimum separator in general).
 With them, a scan decides the kappa of every one-vertex extension, and the
 lambda of most, without a flow.
-Let g be connected with k >= 2 vertices, and let h = g + z, with z joined to
+Let g be connected with k >= 1 vertices, and let h = g + z, with z joined to
 a nonempty S, s = |S|:
 
 - lambda: min(lambda(g), s) <= lambda(h)
@@ -48,7 +48,9 @@ a nonempty S, s = |S|:
   F inside g separate them, so |F| >= lambda(g).  Upper bound: z's star
   has s edges; the cut (A, V(g) - A) of g, with z put on A's side, crosses
   lambda(g) + |S - A| edges, and with z on the other side lambda(g) +
-  |S & A|.  When the two bounds meet, lambda(h) is decided.
+  |S & A|.  When the two bounds meet, lambda(h) is decided.  K_1 has no
+  edge cut, so here its lambda is unbounded, not 0: every cut of K_2 is
+  z's star, and both bounds are s = 1.
 - kappa: first, min(kappa(g), s) <= kappa(h) whenever S != V(g).  Let Y be
   a minimum separator of h (h is not complete, as z misses a vertex).  If
   z is in Y, then h - Y = g - (Y - z) is disconnected, so |Y| > kappa(g).
@@ -61,17 +63,18 @@ a nonempty S, s = |S|:
     z from V(g) - S, and the lower bound is min(kappa, s) = s.
   - s > kappa: kappa(h) = kappa if S misses some component of g - X for
     a minimum separator X of g, and kappa + 1 if it misses none (always
-    so for a complete g, which has no separator).  kappa(h) >= kappa: by
-    the lower bound if S != V(g); if S = V(g), z sees every vertex, so
-    every separator of h holds z and loses it to a separator of g (a
-    complete g makes h complete, with kappa(h) = k = kappa + 1).  And
-    X + z separates h, so kappa(h) <= kappa + 1.  Now take a separator
-    Y of h with |Y| = kappa.  Y cannot hold z, or Y - z would separate
-    g with kappa - 1 vertices.  Y cannot hold all of S, as s > kappa.
-    So z has a neighbour in h - Y, Y separates g as above, and Y is a
-    minimum separator of g.  h - Y is g - Y with z joined to S - Y, so
-    it is disconnected iff z misses a component of g - Y.  Conversely,
-    such an X is a separator of h of size kappa.
+    so for a complete g, K_1 with kappa = 0 included, which has no
+    separator).  kappa(h) >= kappa: by the lower bound if S != V(g); if
+    S = V(g), z sees every vertex, so every separator of h holds z and
+    loses it to a separator of g (a complete g makes h complete, with
+    kappa(h) = k = kappa + 1).  And X + z separates h, so kappa(h) <=
+    kappa + 1.  Now take a separator Y of h with |Y| = kappa.  Y cannot
+    hold z, or Y - z would separate g with kappa - 1 vertices.  Y cannot
+    hold all of S, as s > kappa.  So z has a neighbour in h - Y, Y
+    separates g as above, and Y is a minimum separator of g.  h - Y is
+    g - Y with z joined to S - Y, so it is disconnected iff z misses a
+    component of g - Y.  Conversely, such an X is a separator of h of
+    size kappa.
 """
 
 from __future__ import annotations

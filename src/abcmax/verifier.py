@@ -8,12 +8,12 @@ and only then declares a unique maximizer or a genuine tie.
 
 A scan of order n has one path.  Its tasks are the canonical-parent
 subtrees rooted at the cached classes of order min(n - 1, SEED_DEPTH), one
-task each.  A task names its order and root; the process that runs it walks
-the root's subtree down to the parents of order n - 1, decides the children
-of each through every cell of the order and returns one partial per cell,
-and the partials are folded into the cells in task order.  The fold is an
-associative, commutative reduction, so worker count never changes a result
-field.
+task each.  A task, `_scan_kernel` with its root's rows, names its order
+and root; the process that runs it walks the root's subtree down to the
+parents of order n - 1, decides the children of each through every cell of
+the order and returns one partial per cell, and the partials are folded
+into the cells in task order.  The fold is an associative, commutative
+reduction, so worker count never changes a result field.
 
 The kernel holds each parent g while it decides g's children h = g + z.  It
 builds g's state once for all of them (`_Parent`: lambda with a minimum
@@ -21,9 +21,8 @@ edge cut's side, kappa with the components of g - X for every minimum
 separator X, chi with a colouring; only what the cells need) and decides
 each child from it by the lemmas in the `connectivity` and `coloring`
 docstrings.  Those decide every child's kappa; a lambda flow or a
-colouring search runs only where the lemmas leave a child undecided.  K_1,
-which the lemmas do not cover, gets no state, so K_2 is the one graph a
-campaign decides from scratch.
+colouring search runs only where the lemmas leave a child undecided.  They
+cover K_1 too, so no graph is decided from scratch.
 
 Worker count only decides where the work runs.  A campaign is one ordered
 list of tasks: the battery's property runs, then the tasks of each order.
@@ -42,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import pickle
 import random
@@ -171,18 +171,18 @@ class _Accum:
 
 
 class _Parent:
-    """What the cells need of a connected parent g with at least 2 vertices,
-    to decide each child h = g + z, z being h's last vertex, by the lemmas in
-    the `connectivity` and `coloring` docstrings.  Only the parts asked for
-    are built: lambda and the source side of a minimum edge cut, kappa and
-    the components that g's minimum separators leave, chi and its colour
-    classes."""
+    """What the cells need of a connected parent g to decide each child
+    h = g + z, z being h's last vertex, by the lemmas in the `connectivity`
+    and `coloring` docstrings.  Only the parts asked for are built: lambda
+    and the source side of a minimum edge cut, kappa and the components that
+    g's minimum separators leave, chi and its colour classes.  K_1's lambda
+    is read here as unbounded, not as the 0 of `edge_connectivity`."""
 
     __slots__ = ("lam", "side", "kap", "parts", "chi", "classes")
 
     def __init__(self, g: Graph, edge: bool, vertex: bool, chrom: bool):
-        if edge:
-            self.lam, self.side = edge_cut_side(g)
+        if edge:  # K_1 has no edge cut, so every cut of K_2 is z's star
+            self.lam, self.side = edge_cut_side(g) if g.n > 1 else (math.inf, 0)
         if vertex:
             self.kap = vertex_connectivity(g)
             self.parts = separator_parts(g, self.kap)
@@ -218,13 +218,11 @@ class _Parent:
         return chi + 1
 
 
-def _scan_kernel(parents: Iterable[Graph], n: int, constraints: Sequence[ConstraintSpec]):
-    """Evaluate every constraint cell over the order-n children of `parents`,
-    graphs of order n - 1; shared per-graph metrics.
-
-    Each parent's state is built once, for all of its children; K_1 has
-    none, so its child K_2 is decided from scratch.
-    """
+def _scan_kernel(rows: tuple[int, ...], n: int, constraints: Sequence[ConstraintSpec]):
+    """The partials of every constraint cell over the order-n graphs in the
+    subtree rooted at `rows`, and the count of graphs streamed.  Each parent
+    of order n - 1 in the subtree is held, with its state built once, while
+    its children are decided."""
     accums = [_Accum() for _ in constraints]
     edge_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "edge_connectivity_eq"]
     vertex_cells = [(i, c.value) for i, c in enumerate(constraints) if c.kind == "vertex_connectivity_eq"]
@@ -232,29 +230,22 @@ def _scan_kernel(parents: Iterable[Graph], n: int, constraints: Sequence[Constra
     chi_lo = min((v for _, v in chrom_cells), default=None)
     chi_hi = max((v for _, v in chrom_cells), default=None)
     min_edge_k = min((v for _, v in edge_cells), default=None)
-    min_vertex_k = min((v for _, v in vertex_cells), default=None)
 
     wanted = (bool(edge_cells), bool(vertex_cells), bool(chrom_cells))
     streamed = 0
-    for g in parents:
-        parent = _Parent(g, *wanted) if g.n > 1 else None
+    for g in expand_seed(rows, n - 1):
+        parent = _Parent(g, *wanted)
         for h in expand_seed(g.rows, n):
             streamed += 1
             matched: list[int] = []
-            min_deg = min(r.bit_count() for r in h.rows) if (edge_cells or vertex_cells) else 0
-            if edge_cells and min_deg >= min_edge_k:
-                lam = parent.edge_connectivity(h) if parent else edge_connectivity(h)
+            if edge_cells and min(r.bit_count() for r in h.rows) >= min_edge_k:  # lambda <= delta
+                lam = parent.edge_connectivity(h)
                 matched.extend(i for i, k in edge_cells if k == lam)
-            if vertex_cells and min_deg >= min_vertex_k:
-                kap = parent.vertex_connectivity(h) if parent else vertex_connectivity(h)
+            if vertex_cells:
+                kap = parent.vertex_connectivity(h)
                 matched.extend(i for i, k in vertex_cells if k == kap)
-            if chrom_cells:
-                if parent is None:
-                    chi = chromatic_number(h).chi
-                elif chi_lo - 1 <= parent.chi <= chi_hi:  # chi(h) is chi(g) or one more
-                    chi = parent.chromatic_number(h)
-                else:
-                    chi = None
+            if chrom_cells and chi_lo - 1 <= parent.chi <= chi_hi:  # chi(h) is chi(g) or one more
+                chi = parent.chromatic_number(h)
                 matched.extend(i for i, v in chrom_cells if v == chi)
             if matched:
                 value = abc_index(h)
@@ -262,11 +253,6 @@ def _scan_kernel(parents: Iterable[Graph], n: int, constraints: Sequence[Constra
                 for i in matched:
                     accums[i].add(value, g6)
     return accums, streamed
-
-
-def _scan_subtree(rows: tuple[int, ...], n: int, constraints: Sequence[ConstraintSpec]):
-    """The partials of the order-n graphs in the subtree rooted at `rows`."""
-    return _scan_kernel(expand_seed(rows, n - 1), n, constraints)
 
 
 def _scan_cells(n: int, constraints: Sequence[ConstraintSpec], partials) -> tuple[list[dict], int]:
@@ -446,10 +432,11 @@ def _results(tasks: Sequence[tuple], workers: int):
 
 def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
                     jobs: int, properties=()) -> tuple[list[dict], int]:
-    """Cells of every campaign, campaign-major, from one scan per order, then
-    the cells of the `properties` runs, given as (function, *args) tasks.  The
-    graphs-scanned count is summed over campaigns, as if each had its own scan.
-    `jobs` is checked here, the order cap and the runs' arguments by the caller."""
+    """Cells of every campaign, campaign-major, from one scan per order, a
+    `_scan_kernel` task per root, then the cells of the `properties` runs,
+    given as (function, *args) tasks.  The graphs-scanned count is summed
+    over campaigns, as if each had its own scan.  `jobs` is checked here,
+    the order cap and the runs' arguments by the caller."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = list(properties)
@@ -462,7 +449,7 @@ def _scan_campaigns(campaigns: Sequence[str], n_values: Sequence[int], values,
         ]
         if constraints:
             roots = connected_graph_list(min(n - 1, SEED_DEPTH))
-            tasks += [(_scan_subtree, g.rows, n, constraints) for g in roots]
+            tasks += [(_scan_kernel, g.rows, n, constraints) for g in roots]
             orders.append((n, constraints, len(roots)))
     # the workers, forked after the class lists are built, inherit them and the
     # tasks; the results come in task order, and leaving the block ends them

@@ -519,18 +519,17 @@ class TestWorkerFaults:
         return sorted(set(group_members(proc.pid)) - {proc.pid})
 
     def test_dead_worker_exits_2(self, run, tmp_path):
-        # a worker killed by SIGKILL at one order-8 task sends no result for
-        # it; a pool waited for that result for ever
+        # a worker killed by SIGKILL at one order-8 task sends no result for it
         proc = run("""
             doomed = verifier.connected_graph_list(7)[100].rows
-            real_scan_subtree = verifier._scan_subtree
+            real_scan_kernel = verifier._scan_kernel
 
             def dying(rows, n, constraints):
                 if n == 8 and rows == doomed:
                     os.kill(os.getpid(), signal.SIGKILL)
-                return real_scan_subtree(rows, n, constraints)
+                return real_scan_kernel(rows, n, constraints)
 
-            verifier._scan_subtree = dying
+            verifier._scan_kernel = dying
         """)
         _, err = proc.communicate(timeout=30)
         assert proc.returncode == 2

@@ -246,7 +246,7 @@ class TestReferenceOracle:
         cells = [verifier.ConstraintSpec(kind, k) for kind in
                  ("edge_connectivity_eq", "vertex_connectivity_eq") for k in range(1, 7)]
         cells += [verifier.ConstraintSpec("chromatic_eq", k) for k in range(2, 9)]
-        partials = [verifier._scan_subtree(g.rows, 8, cells) for g in connected_graph_list(7)]
+        partials = [verifier._scan_kernel(g.rows, 8, cells) for g in connected_graph_list(7)]
         verifier._scan_cells(8, cells, partials)
         # from scratch: 11 123 lambda and kappa calls, 51 163 colouring calls;
         # the 853 parents' kappa and chi are 853 of the vertex_connectivity and
@@ -269,7 +269,7 @@ class TestReferenceOracle:
             cells = [verifier.ConstraintSpec(kind, k) for kind in
                      ("edge_connectivity_eq", "vertex_connectivity_eq") for k in range(1, n - 1)]
             cells += [verifier.ConstraintSpec("chromatic_eq", k) for k in range(2, n + 1)]
-            partials = [verifier._scan_subtree(g.rows, n, cells) for g in connected_graph_list(n - 1)]
+            partials = [verifier._scan_kernel(g.rows, n, cells) for g in connected_graph_list(n - 1)]
             verifier._scan_cells(n, cells, partials)
         # from scratch: 1 006 lambda and kappa calls, 4 331 colouring calls; the
         # 141 parents of orders 3..6 are in the vertex_connectivity and

@@ -177,6 +177,18 @@ class TestCampaigns:
         # one enumeration pass for the order
         assert rep.totals["graphs_scanned"] == 112
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("campaign, values", [("edge-conn", [1]), ("vertex-conn", [1]),
+                                                  ("chromatic", None)])
+    def test_order_2_cell(self, campaign, values, jobs):
+        # K_2, the one graph of order 2, is decided from K_1's state
+        (cell,) = run_campaign(campaign, [2], values, jobs=jobs).cells
+        assert cell["cell_class"] == "must-match"
+        assert cell["scanned"] == 1
+        assert cell["maximizers"] == ["A_"]
+        assert cell["matches"] is True
+        assert cell["reverified"] is True
+
     def test_small_n_k2_is_evidence(self):
         rep = run_campaign("edge-conn", [5], [2])
         cell = rep.cells[0]
@@ -349,11 +361,12 @@ class TestChromaticCells:
             for window in ({2}, {3}, {4, 5}, set(range(2, n + 1)), {n}):
                 states.clear()
                 cells = [ConstraintSpec("chromatic_eq", v) for v in sorted(window)]
-                accums, streamed = verifier._scan_kernel(parents, n, cells)
+                found, streamed = verifier._scan_cells(
+                    n, cells, [verifier._scan_kernel(g.rows, n, cells) for g in parents])
                 assert streamed == len(classes)
-                assert [a.scanned for a in accums] == [chis[c.value] for c in cells]
-                # K_1 gets no state: K_2's chi comes from scratch
-                assert states == ([] if n == 2 else [n - 1] * len(parents))
+                assert [cell["scanned"] for cell in found] == [chis[c.value] for c in cells]
+                # one state per parent, K_1 included
+                assert states == [n - 1] * len(parents)
 
 
 KINDS = ("edge_connectivity_eq", "vertex_connectivity_eq", "chromatic_eq")
@@ -423,13 +436,13 @@ class TestParentLemmas:
 
     def test_every_child_of_every_class_upto_7(self):
         children = 0
-        for k in range(2, 8):
+        for k in range(1, 8):
             for g in connected_graph_list(k):
                 parent = verifier._Parent(g, True, True, True)
                 for h in expand_seed(g.rows, k + 1):
                     assert inherited_values(parent, h) == scratch_values(h), h.rows
                     children += 1
-        assert children == sum(len(connected_graph_list(n)) for n in range(3, 9))
+        assert children == sum(len(connected_graph_list(n)) for n in range(2, 9))
 
     def test_random_pairs(self):
         universal = 0
@@ -452,7 +465,7 @@ class TestParentLemmas:
                 for window in (range(1, k + 2), (4, 5)):
                     cells = [ConstraintSpec(kind, v) for kind in KINDS for v in window
                              if v >= 2 or kind != "chromatic_eq"]
-                    accums, _ = verifier._scan_kernel([g], k + 1, cells)
+                    accums, _ = verifier._scan_kernel(g.rows, k + 1, cells)
                     assert [a.scanned for a in accums] == [values[c.kind, c.value] for c in cells], g.rows
 
 
@@ -514,7 +527,7 @@ class TestFusedScan:
         assert scanned == []
 
     @staticmethod
-    def record_pools(monkeypatch):
+    def record_forks(monkeypatch):
         """Make `verifier._results` list the worker counts it forks (those
         above 1) and the tasks it hands to forked workers."""
         forked, sent = [], []
@@ -529,8 +542,8 @@ class TestFusedScan:
         monkeypatch.setattr(verifier, "_results", recording_results)
         return forked, sent
 
-    def test_pool_size_is_derived_from_the_tasks(self, monkeypatch):
-        forked, _ = self.record_pools(monkeypatch)
+    def test_worker_count_is_derived_from_the_tasks(self, monkeypatch):
+        forked, _ = self.record_forks(monkeypatch)
         one_task = run_campaign("chromatic", [3], [3], jobs=4)  # the one class of order 2
         assert forked == []
         assert one_task.cells == run_campaign("chromatic", [3], [3]).cells
@@ -543,7 +556,7 @@ class TestFusedScan:
     def test_no_task_carries_a_graph(self, monkeypatch):
         # a task names its order and root and holds no graph; the workers
         # inherit the tasks through the fork, and only results cross a pipe
-        _, sent = self.record_pools(monkeypatch)
+        _, sent = self.record_forks(monkeypatch)
         monkeypatch.setattr(verifier, "SEED_DEPTH", 4)
         monkeypatch.setattr(verifier, "BRIDGE_N_MAX", 6)
         run_full_battery(4, 6, jobs=2, trials=20)
@@ -555,8 +568,8 @@ class TestFusedScan:
             for arg in args:
                 assert not isinstance(arg, Graph)
                 assert not (isinstance(arg, tuple) and any(isinstance(x, Graph) for x in arg))
-            assert fn in properties or fn is verifier._scan_subtree
-            if fn is verifier._scan_subtree:
+            assert fn in properties or fn is verifier._scan_kernel
+            if fn is verifier._scan_kernel:
                 rows, n, _ = args
                 assert len(rows) == min(n - 1, verifier.SEED_DEPTH)
 
@@ -602,7 +615,7 @@ class TestFusedScan:
         # is busy with the bridge run
         assert self.run_crash_script(tmp_path, "", timeout=60) == 0
 
-    def test_sigterm_before_worker_init_is_held(self, tmp_path):
+    def test_slow_worker_under_a_sigterm_handler_still_ends(self, tmp_path):
         # the second worker sleeps 2 s before its first task, under the
         # inherited no-op SIGTERM handler, while the first worker's task
         # fails; the failed run must still end that worker, not wait for it
